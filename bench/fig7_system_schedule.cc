@@ -7,40 +7,23 @@
 
 #include <cstdio>
 
-#include "apps/encyclopedia.h"
 #include "schedule/printer.h"
 #include "schedule/validator.h"
+#include "workload/paper_worlds.h"
 
 using namespace oodb;
 
 namespace {
 
 /// Runs T1..T4 of Example 4; returns the database for inspection.
-std::unique_ptr<Database> RunExample4() {
+std::unique_ptr<Database> Example4Database() {
   auto db = std::make_unique<Database>();
-  Encyclopedia::RegisterMethods(db.get());
-  ObjectId enc = Encyclopedia::Create(db.get(), "Enc", 8, 8, 4);
-  (void)db->RunTransaction("T1", [&](MethodContext& txn) {
-    return txn.Call(enc, Encyclopedia::Insert("DBS", "database systems"));
-  });
-  (void)db->RunTransaction("T2", [&](MethodContext& txn) {
-    OODB_RETURN_IF_ERROR(
-        txn.Call(enc, Encyclopedia::Insert("DBMS", "dbms v1")));
-    return txn.Call(enc, Encyclopedia::Change("DBMS", "dbms v2"));
-  });
-  (void)db->RunTransaction("T3", [&](MethodContext& txn) {
-    Value out;
-    return txn.Call(enc, Encyclopedia::Search("DBS"), &out);
-  });
-  (void)db->RunTransaction("T4", [&](MethodContext& txn) {
-    Value out;
-    return txn.Call(enc, Encyclopedia::ReadSeq(), &out);
-  });
+  (void)RunExample4(db.get());
   return db;
 }
 
 void PrintFig7() {
-  std::unique_ptr<Database> db = RunExample4();
+  std::unique_ptr<Database> db = Example4Database();
   std::printf("Fig 7: object-oriented transactions of Example 4 "
               "(executed through the runtime)\n\n");
   std::printf("%s\n", SchedulePrinter::AllTrees(db->ts()).c_str());
@@ -62,7 +45,7 @@ void PrintFig7() {
 
 void BM_Example4Replay(benchmark::State& state) {
   for (auto _ : state) {
-    std::unique_ptr<Database> db = RunExample4();
+    std::unique_ptr<Database> db = Example4Database();
     benchmark::DoNotOptimize(db->counters().committed.load());
   }
 }
@@ -71,7 +54,7 @@ BENCHMARK(BM_Example4Replay);
 void BM_Example4Validation(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    std::unique_ptr<Database> db = RunExample4();
+    std::unique_ptr<Database> db = Example4Database();
     state.ResumeTiming();
     ValidationReport report = Validator::Validate(&db->ts());
     benchmark::DoNotOptimize(report.oo_serializable);

@@ -7,9 +7,9 @@
 
 #include <cstdio>
 
-#include "apps/encyclopedia.h"
 #include "model/extension.h"
 #include "schedule/printer.h"
+#include "workload/paper_worlds.h"
 #include "workload/random_history.h"
 
 using namespace oodb;
@@ -18,24 +18,7 @@ namespace {
 
 void PrintFig8() {
   Database db;
-  Encyclopedia::RegisterMethods(&db);
-  ObjectId enc = Encyclopedia::Create(&db, "Enc", 8, 8, 4);
-  (void)db.RunTransaction("T1", [&](MethodContext& txn) {
-    return txn.Call(enc, Encyclopedia::Insert("DBS", "database systems"));
-  });
-  (void)db.RunTransaction("T2", [&](MethodContext& txn) {
-    OODB_RETURN_IF_ERROR(
-        txn.Call(enc, Encyclopedia::Insert("DBMS", "dbms v1")));
-    return txn.Call(enc, Encyclopedia::Change("DBMS", "dbms v2"));
-  });
-  (void)db.RunTransaction("T3", [&](MethodContext& txn) {
-    Value out;
-    return txn.Call(enc, Encyclopedia::Search("DBS"), &out);
-  });
-  (void)db.RunTransaction("T4", [&](MethodContext& txn) {
-    Value out;
-    return txn.Call(enc, Encyclopedia::ReadSeq(), &out);
-  });
+  (void)RunExample4(&db);
 
   SystemExtender::Extend(&db.ts());
   DependencyEngine engine(db.ts());

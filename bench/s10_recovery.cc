@@ -30,6 +30,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,9 +40,12 @@
 
 #include "containers/directory.h"
 #include "containers/hash_index.h"
+#include "containers/page_ops.h"
 #include "containers/persist.h"
 #include "obs/sampler.h"
 #include "storage/recovery.h"
+#include "util/flags.h"
+#include "util/json.h"
 #include "util/random.h"
 
 using namespace oodb;
@@ -61,6 +66,7 @@ std::string FreshDir(const std::string& tag) {
 }
 
 void Register(Database* db) {
+  RegisterPageMethods(db);  // HashIndex buckets call Page methods
   RegisterDirectoryMethods(db);
   HashIndex::RegisterMethods(db);
 }
@@ -79,18 +85,50 @@ Status OpenStore(StorageEngine* engine, Database* db) {
   return Recover(engine, db);
 }
 
+/// What a workload cell's transactions returned, by status code.
+struct Outcomes {
+  std::map<StatusCode, uint64_t> by_code;
+
+  void Merge(const Outcomes& other) {
+    for (const auto& [code, count] : other.by_code) by_code[code] += count;
+  }
+  uint64_t Count(StatusCode code) const {
+    auto it = by_code.find(code);
+    return it == by_code.end() ? 0 : it->second;
+  }
+  uint64_t committed() const { return Count(StatusCode::kOk); }
+  uint64_t aborted() const {
+    uint64_t n = 0;
+    for (const auto& [code, count] : by_code) n += count;
+    return n - committed();
+  }
+  /// "committed=N aborted=N", then the count of each failure code.
+  std::string Summary() const {
+    std::string out = "committed=" + std::to_string(committed()) +
+                      " aborted=" + std::to_string(aborted());
+    for (const auto& [code, count] : by_code) {
+      if (code == StatusCode::kOk) continue;
+      out += std::string(" ") + StatusCodeName(code) + "=" +
+             std::to_string(count);
+    }
+    return out;
+  }
+};
+
 /// The workload cell: `txns` transactions over `threads` threads, each
 /// 1-3 inserts split between the directory and the hash index.
 double RunWorkload(Database* db, ObjectId dir, ObjectId idx, size_t txns,
-                   size_t threads, uint64_t seed) {
+                   size_t threads, uint64_t seed, Outcomes* outcomes) {
   auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
+  std::vector<Outcomes> per_worker(threads);
   const size_t per_thread = (txns + threads - 1) / threads;
   for (size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([=] {
+    workers.emplace_back([=, &per_worker] {
       Rng rng(seed * 7919 + t);
+      Outcomes& mine = per_worker[t];
       for (size_t i = 0; i < per_thread; ++i) {
-        (void)db->RunTransaction("b", [&](MethodContext& txn) -> Status {
+        Status result = db->RunTransaction("b", [&](MethodContext& txn) {
           const size_t ops = 1 + rng.NextBelow(3);
           for (size_t k = 0; k < ops; ++k) {
             const std::string key = "k" + std::to_string(rng.NextBelow(200));
@@ -104,17 +142,21 @@ double RunWorkload(Database* db, ObjectId dir, ObjectId idx, size_t txns,
           }
           return Status::OK();
         });
+        ++mine.by_code[result.code()];
       }
     });
   }
   for (auto& w : workers) w.join();
-  return MsSince(start);
+  const double ms = MsSince(start);
+  for (const Outcomes& o : per_worker) outcomes->Merge(o);
+  return ms;
 }
 
 struct ThroughputRow {
   std::string mode;
   size_t txns = 0;
   double ms = 0;
+  Outcomes outcomes;
   double txns_per_sec() const { return txns / (ms / 1000.0); }
 };
 
@@ -122,11 +164,11 @@ ThroughputRow ThroughputCell(const std::string& mode, size_t txns,
                              size_t threads) {
   Database db;
   Register(&db);
-  ThroughputRow row{mode, txns, 0};
+  ThroughputRow row{mode, txns, 0, {}};
   if (mode == "no-wal") {
     ObjectId dir = CreateDirectory(&db, "D");
     ObjectId idx = HashIndex::Create(&db, "H", 4);
-    row.ms = RunWorkload(&db, dir, idx, txns, threads, 42);
+    row.ms = RunWorkload(&db, dir, idx, txns, threads, 42, &row.outcomes);
     return row;
   }
   StorageEngineOptions opts;
@@ -136,13 +178,14 @@ ThroughputRow ThroughputCell(const std::string& mode, size_t txns,
   if (!OpenStore(&engine, &db).ok()) std::exit(1);
   db.AttachDurability(&engine);
   row.ms = RunWorkload(&db, engine.RootId("D"), engine.RootId("H"), txns,
-                       threads, 42);
+                       threads, 42, &row.outcomes);
   std::filesystem::remove_all(opts.dir);
   return row;
 }
 
 struct RecoveryRow {
   size_t logged_txns = 0;
+  Outcomes outcomes;  ///< of the logged workload
   uint64_t redo_records = 0;
   uint64_t winners = 0;
   double recover_ms = 0;
@@ -157,6 +200,8 @@ RecoveryRow RecoveryCell(size_t txns, const std::string& series_path,
   const std::string dir = FreshDir("rec_" + std::to_string(txns));
   StorageEngineOptions opts;
   opts.dir = dir;
+  RecoveryRow row;
+  row.logged_txns = txns;
   {
     Database db;
     Register(&db);
@@ -165,10 +210,8 @@ RecoveryRow RecoveryCell(size_t txns, const std::string& series_path,
     db.AttachDurability(&engine);
     // No checkpoint: the whole workload stays in the epoch WAL.
     RunWorkload(&db, engine.RootId("D"), engine.RootId("H"), txns,
-                /*threads=*/2, /*seed=*/7);
+                /*threads=*/2, /*seed=*/7, &row.outcomes);
   }
-  RecoveryRow row;
-  row.logged_txns = txns;
   {
     Database db;
     Register(&db);
@@ -211,6 +254,36 @@ RecoveryRow RecoveryCell(size_t txns, const std::string& series_path,
   return row;
 }
 
+/// The host the numbers come from: nproc, CPU model, build type, and the
+/// source tree's git sha ("-dirty" when built with uncommitted edits).
+std::string HostJson() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  std::string sha = "unknown";
+  if (FILE* git = ::popen("git -C '" OODB_SOURCE_DIR
+                          "' describe --always --dirty 2>/dev/null",
+                          "r")) {
+    char buf[64];
+    if (std::fgets(buf, sizeof(buf), git) != nullptr) {
+      sha = buf;
+      sha.erase(sha.find_last_not_of(" \n") + 1);
+    }
+    ::pclose(git);
+  }
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + JsonEscape(cpu) +
+         "\", \"build_type\": \"" OODB_BUILD_TYPE "\", \"git_sha\": \"" +
+         JsonEscape(sha) + "\"}";
+}
+
 void WriteJson(const std::vector<ThroughputRow>& throughput,
                const std::vector<RecoveryRow>& recovery) {
   FILE* f = std::fopen("BENCH_recovery.json", "w");
@@ -219,13 +292,17 @@ void WriteJson(const std::vector<ThroughputRow>& throughput,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"s10_recovery\",\n");
+  std::fprintf(f, "  \"host\": %s,\n", HostJson().c_str());
   std::fprintf(f, "  \"throughput\": [\n");
   for (size_t i = 0; i < throughput.size(); ++i) {
     const ThroughputRow& r = throughput[i];
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"txns\": %zu, \"ms\": %.2f, "
-                 "\"txns_per_sec\": %.0f}%s\n",
-                 r.mode.c_str(), r.txns, r.ms, r.txns_per_sec(),
+                 "    {\"mode\": \"%s\", \"txns\": %zu, \"committed\": %llu, "
+                 "\"aborted\": %llu, \"ms\": %.2f, \"txns_per_sec\": %.0f}%s\n",
+                 r.mode.c_str(), r.txns,
+                 (unsigned long long)r.outcomes.committed(),
+                 (unsigned long long)r.outcomes.aborted(), r.ms,
+                 r.txns_per_sec(),
                  i + 1 < throughput.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"recovery\": [\n");
@@ -235,9 +312,12 @@ void WriteJson(const std::vector<ThroughputRow>& throughput,
       return double(r.timeline.Ns(p)) / 1e6;
     };
     std::fprintf(f,
-                 "    {\"logged_txns\": %zu, \"winners\": %llu, "
+                 "    {\"logged_txns\": %zu, \"committed\": %llu, "
+                 "\"aborted\": %llu, \"winners\": %llu, "
                  "\"redo_records\": %llu, \"recover_ms\": %.2f,\n",
-                 r.logged_txns, (unsigned long long)r.winners,
+                 r.logged_txns, (unsigned long long)r.outcomes.committed(),
+                 (unsigned long long)r.outcomes.aborted(),
+                 (unsigned long long)r.winners,
                  (unsigned long long)r.redo_records, r.recover_ms);
     std::fprintf(f,
                  "     \"phases\": {\"scan_ms\": %.3f, \"analysis_ms\": "
@@ -276,39 +356,39 @@ int main(int argc, char** argv) {
   bool recovery_only = false;
   std::string series_path;
   uint64_t series_interval_ms = 5;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--recovery-only") {
-      recovery_only = true;
-    } else if (arg.rfind("--series=", 0) == 0) {
-      series_path = arg.substr(9);
-    } else if (arg.rfind("--series-interval=", 0) == 0) {
-      series_interval_ms = std::strtoull(arg.c_str() + 18, nullptr, 10);
-      if (series_interval_ms == 0) series_interval_ms = 5;
-    } else {
-      std::fprintf(stderr, "s10_recovery: unknown flag '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
+  FlagSet flags("s10_recovery",
+                "usage: s10_recovery [--recovery-only] [--series=PATH] "
+                "[--series-interval=MS]\n");
+  flags.Bool("recovery-only", &recovery_only);
+  flags.String("series", &series_path);
+  flags.Unsigned("series-interval", &series_interval_ms);
+  int exit_code = 0;
+  if (!flags.Parse(argc, argv, &exit_code)) return exit_code;
+  if (series_interval_ms == 0) series_interval_ms = 5;
 
   std::printf("S10: durability cost and recovery scaling\n\n");
 
+  Outcomes all;  // every cell's workload, for the Unsupported gate
   std::vector<ThroughputRow> throughput;
   if (!recovery_only) {
     constexpr size_t kTxns = 600;
     constexpr size_t kThreads = 2;
-    std::printf("%-10s %6s %10s %12s\n", "mode", "txns", "ms", "txns/sec");
+    std::printf("%-10s %6s %10s %12s  %s\n", "mode", "txns", "ms",
+                "txns/sec", "outcomes");
     for (const char* mode : {"no-wal", "wal-nosync", "wal-fsync"}) {
       ThroughputRow row = ThroughputCell(mode, kTxns, kThreads);
-      std::printf("%-10s %6zu %10.1f %12.0f\n", row.mode.c_str(), row.txns,
-                  row.ms, row.txns_per_sec());
+      std::printf("%-10s %6zu %10.1f %12.0f  %s\n", row.mode.c_str(),
+                  row.txns, row.ms, row.txns_per_sec(),
+                  row.outcomes.Summary().c_str());
+      all.Merge(row.outcomes);
       throughput.push_back(row);
     }
     std::printf("\n");
   }
 
-  std::printf("%-12s %8s %13s %12s %9s %9s\n", "logged_txns", "winners",
-              "redo_records", "recover_ms", "redo%", "cache-hit%");
+  std::printf("%-12s %8s %13s %12s %9s %9s  %s\n", "logged_txns", "winners",
+              "redo_records", "recover_ms", "redo%", "cache-hit%",
+              "outcomes");
   std::vector<RecoveryRow> recovery;
   const std::vector<size_t> cells = {200, 800, 3200};
   for (size_t txns : cells) {
@@ -318,7 +398,7 @@ int main(int argc, char** argv) {
     RecoveryRow row = RecoveryCell(txns, record ? series_path : "",
                                    series_interval_ms);
     const uint64_t lookups = row.cache.hits + row.cache.misses;
-    std::printf("%-12zu %8llu %13llu %12.2f %8.1f%% %8.1f%%\n",
+    std::printf("%-12zu %8llu %13llu %12.2f %8.1f%% %8.1f%%  %s\n",
                 row.logged_txns, (unsigned long long)row.winners,
                 (unsigned long long)row.redo_records, row.recover_ms,
                 row.timeline.total_ns > 0
@@ -326,7 +406,9 @@ int main(int argc, char** argv) {
                           double(row.timeline.total_ns)
                     : 0.0,
                 lookups > 0 ? 100.0 * double(row.cache.hits) / double(lookups)
-                            : 0.0);
+                            : 0.0,
+                row.outcomes.Summary().c_str());
+    all.Merge(row.outcomes);
     recovery.push_back(row);
   }
 
@@ -336,5 +418,14 @@ int main(int argc, char** argv) {
       "dominates durable throughput. Recovery time grows linearly in\n"
       "the epoch's redo records — checkpoint frequency bounds restart\n"
       "time, not correctness.\n");
+  // A method the workload calls but nobody registered fails every
+  // transaction that reaches it: a broken bench, not a measurement.
+  if (const uint64_t n = all.Count(StatusCode::kUnsupported); n > 0) {
+    std::fprintf(stderr,
+                 "s10_recovery: %llu transactions failed Unsupported "
+                 "(a method the workload calls is not registered)\n",
+                 (unsigned long long)n);
+    return 1;
+  }
   return 0;
 }

@@ -32,7 +32,9 @@
 #include "obs/metrics.h"
 #include "obs/phases.h"
 #include "obs/sampler.h"
+#include "util/flags.h"
 #include "util/histogram.h"
+#include "util/io.h"
 #include "util/random.h"
 
 using namespace oodb;
@@ -164,7 +166,7 @@ CellResult RunCell(const CellConfig& cfg) {
   }
 
   // Flight recorder: contention snapshots + counter deltas every tick,
-  // exported as the JSON-lines series oodb_top consumes.
+  // exported as the JSON-lines series `oodb top` consumes.
   std::unique_ptr<MetricsSampler> sampler;
   if (!cfg.series_path.empty()) {
     SamplerOptions soptions;
@@ -472,13 +474,10 @@ int RunSuite(const std::string& json_path, const CellConfig& tuned) {
                      i + 1 == cells.size());
     }
     out += "  ]\n}\n";
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
+    if (!WriteOut(json_path, out).ok()) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return speedup >= 5.0 ? 0 : 2;
@@ -490,45 +489,28 @@ int main(int argc, char** argv) {
   bool smoke = false, suite = false;
   std::string json_path;
   CellConfig base;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--suite") {
-      suite = true;
-      if (json_path.empty()) json_path = "BENCH_throughput.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--seconds=", 0) == 0) {
-      base.seconds = std::atof(arg.c_str() + 10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      base.threads = size_t(std::atoi(arg.c_str() + 10));
-    } else if (arg.rfind("--keys=", 0) == 0) {
-      base.keys = uint64_t(std::atoll(arg.c_str() + 7));
-    } else if (arg.rfind("--theta=", 0) == 0) {
-      base.theta = std::atof(arg.c_str() + 8);
-    } else if (arg.rfind("--ops=", 0) == 0) {
-      base.ops_per_txn = std::atoi(arg.c_str() + 6);
-    } else if (arg.rfind("--put=", 0) == 0) {
-      base.put_fraction = std::atof(arg.c_str() + 6);
-    } else if (arg.rfind("--rate=", 0) == 0) {
-      base.rate = uint64_t(std::atoll(arg.c_str() + 7));
-    } else if (arg.rfind("--series=", 0) == 0) {
-      base.series_path = arg.substr(9);
-    } else if (arg.rfind("--series-interval=", 0) == 0) {
-      base.sample_interval_ms = uint64_t(std::atoll(arg.c_str() + 18));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--suite] [--json=PATH] "
-                   "[--seconds=N] [--threads=N] [--keys=N] [--theta=F] "
-                   "[--ops=N] [--put=F] [--rate=N] [--series=PATH] "
-                   "[--series-interval=MS]\n"
-                   "  --series: write each cell's flight-recorder series "
-                   "(%%s in PATH = cell name)\n",
-                   argv[0]);
-      return 1;
-    }
-  }
+  FlagSet flags("s11_throughput",
+                "usage: s11_throughput [--smoke] [--suite] [--json=PATH] "
+                "[--seconds=N] [--threads=N] [--keys=N] [--theta=F] "
+                "[--ops=N] [--put=F] [--rate=N] [--series=PATH] "
+                "[--series-interval=MS]\n"
+                "  --series: write each cell's flight-recorder series "
+                "(%s in PATH = cell name)\n");
+  flags.Bool("smoke", &smoke);
+  flags.Bool("suite", &suite);
+  flags.String("json", &json_path);
+  flags.Double("seconds", &base.seconds);
+  flags.Unsigned("threads", &base.threads);
+  flags.Unsigned("keys", &base.keys);
+  flags.Double("theta", &base.theta);
+  flags.Unsigned("ops", &base.ops_per_txn);
+  flags.Double("put", &base.put_fraction);
+  flags.Unsigned("rate", &base.rate);
+  flags.String("series", &base.series_path);
+  flags.Unsigned("series-interval", &base.sample_interval_ms);
+  int exit_code = 0;
+  if (!flags.Parse(argc, argv, &exit_code)) return exit_code;
+  if (suite && json_path.empty()) json_path = "BENCH_throughput.json";
   if (smoke) return RunSmoke(base);
   if (suite || !json_path.empty()) return RunSuite(json_path, base);
   // Default: a quick look at the headline pair.

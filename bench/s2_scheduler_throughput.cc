@@ -28,6 +28,8 @@
 #include "apps/encyclopedia.h"
 #include "obs/metrics.h"
 #include "schedule/validator.h"
+#include "util/flags.h"
+#include "util/io.h"
 #include "util/random.h"
 #include "workload/harness.h"
 
@@ -37,6 +39,55 @@ namespace {
 
 constexpr size_t kKeys = 256;
 
+/// A database holding the encyclopedia with kKeys items, preloaded from
+/// one thread (no contention).
+ObjectId CreatePreloaded(Database* db) {
+  Encyclopedia::RegisterMethods(db);
+  ObjectId enc = Encyclopedia::Create(db, "Enc", /*leaf_capacity=*/32,
+                                      /*fanout=*/32, /*items_per_page=*/8);
+  for (size_t i = 0; i < kKeys; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%05zu", i);
+    (void)db->RunTransaction("seed", [&](MethodContext& txn) {
+      return txn.Call(enc, Encyclopedia::Insert(key, "seed"));
+    });
+  }
+  return enc;
+}
+
+/// 50% search / 50% change over the preloaded keys, Zipf(theta)-skewed.
+/// A nonzero `hold` keeps each transaction open that long after its
+/// call (user think time / downstream IO) while its locks are held: the
+/// window in which schedulers differ.
+TxnFactory SearchChangeMix(ObjectId enc, double theta,
+                           std::chrono::microseconds hold) {
+  return [=](size_t thread, size_t index) -> TransactionBody {
+    return [=](MethodContext& txn) {
+      // Harness workers are fresh threads per run, so these start over
+      // with every cell.
+      thread_local std::unique_ptr<ZipfGenerator> zipf;
+      if (!zipf) {
+        zipf = std::make_unique<ZipfGenerator>(kKeys, theta, thread * 31 + 7);
+      }
+      thread_local Rng rng(thread * 1009 + 1);
+      char key[16];
+      std::snprintf(key, sizeof(key), "k%05llu",
+                    (unsigned long long)zipf->Next());
+      Status st;
+      if (rng.NextDouble() < 0.5) {
+        Value out;
+        st = txn.Call(enc, Encyclopedia::Search(key), &out);
+      } else {
+        st = txn.Call(
+            enc, Encyclopedia::Change(key, "rev" + std::to_string(index)));
+      }
+      OODB_RETURN_IF_ERROR(st);
+      if (hold.count() > 0) std::this_thread::sleep_for(hold);
+      return Status::OK();
+    };
+  };
+}
+
 HarnessResult RunCell(SchedulerKind scheduler, size_t threads,
                       double zipf_theta, size_t txns_per_thread,
                       MetricsRegistry* metrics) {
@@ -45,17 +96,7 @@ HarnessResult RunCell(SchedulerKind scheduler, size_t threads,
   opts.lock_options.wait_timeout = std::chrono::milliseconds(300);
   Database db(opts);
   if (metrics != nullptr) db.AttachObservability(metrics, nullptr);
-  Encyclopedia::RegisterMethods(&db);
-  ObjectId enc = Encyclopedia::Create(&db, "Enc", /*leaf_capacity=*/32,
-                                      /*fanout=*/32, /*items_per_page=*/8);
-  // Preload under open-nested-equivalent single thread (no contention).
-  for (size_t i = 0; i < kKeys; ++i) {
-    char key[16];
-    std::snprintf(key, sizeof(key), "k%05zu", i);
-    (void)db.RunTransaction("seed", [&](MethodContext& txn) {
-      return txn.Call(enc, Encyclopedia::Insert(key, "seed"));
-    });
-  }
+  ObjectId enc = CreatePreloaded(&db);
   db.counters().Reset();
 
   HarnessConfig config;
@@ -64,37 +105,7 @@ HarnessResult RunCell(SchedulerKind scheduler, size_t threads,
   config.metrics = metrics;
   return Harness::Run(
       &db, config,
-      [enc, zipf_theta](size_t thread, size_t index) -> TransactionBody {
-        return [enc, zipf_theta, thread, index](MethodContext& txn) {
-          thread_local std::unique_ptr<ZipfGenerator> zipf;
-          thread_local double zipf_theta_cached = -1;
-          if (!zipf || zipf_theta_cached != zipf_theta) {
-            zipf = std::make_unique<ZipfGenerator>(kKeys, zipf_theta,
-                                                   thread * 31 + 7);
-            zipf_theta_cached = zipf_theta;
-          }
-          thread_local Rng rng(thread * 1009 + 1);
-          char key[16];
-          std::snprintf(key, sizeof(key), "k%05llu",
-                        (unsigned long long)zipf->Next());
-          (void)index;
-          double dice = rng.NextDouble();
-          Status st;
-          if (dice < 0.5) {
-            Value out;
-            st = txn.Call(enc, Encyclopedia::Search(key), &out);
-          } else {
-            st = txn.Call(enc, Encyclopedia::Change(
-                                   key, "rev" + std::to_string(index)));
-          }
-          OODB_RETURN_IF_ERROR(st);
-          // Keep the transaction open for a moment (user think time /
-          // downstream IO) while its locks are held: the window in
-          // which schedulers differ.
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          return Status::OK();
-        };
-      });
+      SearchChangeMix(enc, zipf_theta, std::chrono::microseconds(200)));
 }
 
 /// One validation cell of the hand-vs-inferred comparison.
@@ -154,40 +165,13 @@ std::string RunInferenceComparison(MetricsRegistry* metrics) {
   opts.lock_options.wait_timeout = std::chrono::milliseconds(300);
   Database db(opts);
   db.AttachObservability(metrics, nullptr);
-  Encyclopedia::RegisterMethods(&db);
-  ObjectId enc = Encyclopedia::Create(&db, "Enc", /*leaf_capacity=*/32,
-                                      /*fanout=*/32, /*items_per_page=*/8);
-  for (size_t i = 0; i < kKeys; ++i) {
-    char key[16];
-    std::snprintf(key, sizeof(key), "k%05zu", i);
-    (void)db.RunTransaction("seed", [&](MethodContext& txn) {
-      return txn.Call(enc, Encyclopedia::Insert(key, "seed"));
-    });
-  }
+  ObjectId enc = CreatePreloaded(&db);
   HarnessConfig config;
   config.threads = kThreads;
   config.txns_per_thread = kTxns;
   config.metrics = metrics;
   HarnessResult run = Harness::Run(
-      &db, config, [enc](size_t thread, size_t index) -> TransactionBody {
-        return [enc, thread, index](MethodContext& txn) {
-          thread_local std::unique_ptr<ZipfGenerator> zipf;
-          if (!zipf) {
-            zipf = std::make_unique<ZipfGenerator>(kKeys, kTheta,
-                                                   thread * 31 + 7);
-          }
-          thread_local Rng rng(thread * 1009 + 1);
-          char key[16];
-          std::snprintf(key, sizeof(key), "k%05llu",
-                        (unsigned long long)zipf->Next());
-          if (rng.NextDouble() < 0.5) {
-            Value out;
-            return txn.Call(enc, Encyclopedia::Search(key), &out);
-          }
-          return txn.Call(
-              enc, Encyclopedia::Change(key, "rev" + std::to_string(index)));
-        };
-      });
+      &db, config, SearchChangeMix(enc, kTheta, std::chrono::microseconds(0)));
 
   // Synthesize matrices for every registered type (Page probes; the
   // composite types delegate to their audited hand specs).
@@ -254,14 +238,13 @@ int main(int argc, char** argv) {
   // --inference-json=PATH: dump the hand-vs-inferred comparison cell.
   std::string metrics_path;
   std::string inference_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--metrics-json=", 0) == 0) {
-      metrics_path = arg.substr(std::string("--metrics-json=").size());
-    } else if (arg.rfind("--inference-json=", 0) == 0) {
-      inference_path = arg.substr(std::string("--inference-json=").size());
-    }
-  }
+  FlagSet flags("s2_scheduler_throughput",
+                "usage: s2_scheduler_throughput [--metrics-json=PATH] "
+                "[--inference-json=PATH]\n");
+  flags.String("metrics-json", &metrics_path);
+  flags.String("inference-json", &inference_path);
+  int exit_code = 0;
+  if (!flags.Parse(argc, argv, &exit_code)) return exit_code;
   // ONE registry for every phase of the bench (all scheduler cells and
   // the inference comparison). A sampler attached to it sees monotone
   // counter streams across phase boundaries; per-phase registries would
@@ -298,26 +281,15 @@ int main(int argc, char** argv) {
       "(the S3 bench isolates the CC overhead).\n\n");
   const std::string inference_json = RunInferenceComparison(metrics);
   if (!inference_path.empty()) {
-    FILE* f = std::fopen(inference_path.c_str(), "w");
-    if (f == nullptr) {
-      std::printf("note: could not open %s for writing\n",
-                  inference_path.c_str());
-      return 0;
-    }
-    std::fputs(inference_json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", inference_path.c_str());
+    Status st = WriteOut(inference_path, inference_json);
+    std::printf(st.ok() ? "wrote %s\n" : "note: could not write %s\n",
+                inference_path.c_str());
+    if (!st.ok()) return 0;
   }
   if (!metrics_path.empty()) {
-    FILE* f = std::fopen(metrics_path.c_str(), "w");
-    if (f == nullptr) {
-      std::printf("note: could not open %s for writing\n",
-                  metrics_path.c_str());
-      return 0;
-    }
-    std::fputs(registry.JsonSnapshot().c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", metrics_path.c_str());
+    Status st = WriteOut(metrics_path, registry.JsonSnapshot());
+    std::printf(st.ok() ? "wrote %s\n" : "note: could not write %s\n",
+                metrics_path.c_str());
   }
   return 0;
 }

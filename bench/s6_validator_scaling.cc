@@ -28,6 +28,8 @@
 #include "apps/encyclopedia.h"
 #include "obs/metrics.h"
 #include "schedule/validator.h"
+#include "util/flags.h"
+#include "util/io.h"
 #include "util/random.h"
 #include "workload/harness.h"
 #include "workload/random_history.h"
@@ -247,14 +249,9 @@ void WriteMetricsJson(const std::string& path, MetricsRegistry& registry) {
   options.metrics = &registry;
   options.num_threads = 4;  // indexed engine: memo + worklist counters
   (void)Validator::Validate(&db.ts(), options);
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("note: could not open %s for writing\n", path.c_str());
-    return;
-  }
-  std::fputs(registry.JsonSnapshot().c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n\n", path.c_str());
+  const bool ok = WriteOut(path, registry.JsonSnapshot()).ok();
+  std::printf(ok ? "wrote %s\n\n" : "note: could not write %s\n",
+              path.c_str());
 }
 
 void BM_ValidateScaling(benchmark::State& state) {
@@ -315,18 +312,19 @@ BENCHMARK(BM_ExtensionOnCleanSystem);
 
 int main(int argc, char** argv) {
   // benchmark::Initialize rejects flags it does not know, so strip the
-  // custom one before handing argv over.
+  // custom one before handing the rest of argv over.
   std::string metrics_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--metrics-json=", 0) == 0) {
-      metrics_path = arg.substr(std::string("--metrics-json=").size());
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  std::vector<char*> rest = {argv[0]};
+  FlagSet flags("s6_validator_scaling",
+                "usage: s6_validator_scaling [--metrics-json=PATH] "
+                "[--benchmark_...]\n");
+  flags.String("metrics-json", &metrics_path);
+  flags.PassUnknown(&rest);
+  int exit_code = 0;
+  if (!flags.Parse(argc, argv, &exit_code)) return exit_code;
+  argc = static_cast<int>(rest.size());
+  rest.push_back(nullptr);
+  argv = rest.data();
 
   // The bench-wide registry: every phase that publishes metrics shares
   // it, keeping counter streams monotone for any attached sampler.

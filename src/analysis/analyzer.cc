@@ -4,6 +4,7 @@
 
 #include "analysis/spec_soundness.h"
 #include "analysis/undo_completeness.h"
+#include "util/json.h"
 
 namespace oodb::analysis {
 

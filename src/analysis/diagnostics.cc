@@ -1,7 +1,6 @@
 #include "analysis/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <tuple>
 
 namespace oodb::analysis {
@@ -38,36 +37,6 @@ void SortDiagnostics(std::vector<Diagnostic>* diagnostics) {
                std::tie(b.type_name, b.method_a, b.method_b, b.pass,
                         a.severity, b.message);
       });
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace oodb::analysis

@@ -39,7 +39,4 @@ struct Diagnostic {
 /// severity descending, message). Independent of discovery order.
 void SortDiagnostics(std::vector<Diagnostic>* diagnostics);
 
-/// JSON string escaping for the machine-readable report.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace oodb::analysis

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/json.h"
+
 namespace oodb::analysis {
 
 namespace {

@@ -46,7 +46,7 @@ class SynthesizedSpec : public CommutativitySpec {
 };
 
 /// Aggregated inference counters, published as infer.* metrics by
-/// oodb_lint and oodb_infer (--metrics-json).
+/// `oodb lint` and `oodb infer` (--metrics-json).
 struct InferenceStats {
   size_t types = 0;
   size_t types_probed = 0;

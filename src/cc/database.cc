@@ -25,6 +25,23 @@ const char* SchedulerKindName(SchedulerKind kind) {
   return "?";
 }
 
+bool SchedulerKindFromName(const std::string& name, SchedulerKind* out) {
+  static const std::pair<const char*, SchedulerKind> kNames[] = {
+      {"open", SchedulerKind::kOpenNested},
+      {"closed", SchedulerKind::kClosedNested},
+      {"flat2pl", SchedulerKind::kFlat2PL},
+      {"exclusive", SchedulerKind::kObjectExclusive},
+      {"none", SchedulerKind::kNone},
+  };
+  for (const auto& [flag, kind] : kNames) {
+    if (name == flag) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* HistoryModeName(HistoryMode mode) {
   switch (mode) {
     case HistoryMode::kRecorded:

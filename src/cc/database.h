@@ -100,6 +100,10 @@ enum class SchedulerKind {
 /// Human-readable scheduler name for reports.
 const char* SchedulerKindName(SchedulerKind kind);
 
+/// The scheduler a command line names: the short flag names "open",
+/// "closed", "flat2pl", "exclusive" and "none". False for anything else.
+bool SchedulerKindFromName(const std::string& name, SchedulerKind* out);
+
 /// How the execution history is published.
 enum class HistoryMode {
   /// Every action is recorded into the shared TransactionSystem as it
@@ -240,7 +244,7 @@ class Database {
   const TransactionSystem& ts() const { return ts_; }
 
   LockManager& locks() { return locks_; }
-  /// The registered methods and their declared traits (for oodb_lint).
+  /// The registered methods and their declared traits (for `oodb lint`).
   const MethodRegistry& registry() const { return registry_; }
   RunCounters& counters() { return counters_; }
   const DatabaseOptions& options() const { return options_; }

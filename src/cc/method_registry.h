@@ -4,7 +4,7 @@
 // The traits are the statically auditable part of the schema: whether a
 // method only observes its object, which (type, method) pairs its body
 // may send messages to (a type-level over-approximation of the Def 1/2
-// call relation), and representative parameter lists. oodb_lint (see
+// call relation), and representative parameter lists. `oodb lint` (see
 // analysis/) builds its invocation corpus and call graph from them.
 
 #pragma once

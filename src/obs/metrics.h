@@ -15,7 +15,7 @@
 // are deterministic given deterministic metric values.
 //
 // Metric names are part of the repository's stable surface, like
-// oodb_lint's diagnostic vocabulary: once shipped in a release, a name
+// `oodb lint`'s diagnostic vocabulary: once shipped in a release, a name
 // keeps its meaning (see docs/OBSERVABILITY.md for the catalog).
 
 #pragma once

@@ -5,6 +5,9 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "util/io.h"
+#include "util/json.h"
+
 namespace oodb {
 
 namespace {
@@ -14,16 +17,6 @@ uint64_t NowNsSince(std::chrono::steady_clock::time_point base) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - base)
           .count());
-}
-
-std::string EscapeName(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -216,19 +209,19 @@ std::string MetricsSampler::SampleJson(const Sample& sample) {
      << ",\"counters\":{";
   bool first = true;
   for (const auto& [name, delta] : sample.counters) {
-    os << (first ? "" : ",") << "\"" << EscapeName(name) << "\":" << delta;
+    os << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << delta;
     first = false;
   }
   os << "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : sample.gauges) {
-    os << (first ? "" : ",") << "\"" << EscapeName(name) << "\":" << value;
+    os << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
     first = false;
   }
   os << "},\"hists\":{";
   first = true;
   for (const auto& hist : sample.hists) {
-    os << (first ? "" : ",") << "\"" << EscapeName(hist.name)
+    os << (first ? "" : ",") << "\"" << JsonEscape(hist.name)
        << "\":{\"count\":" << hist.count << ",\"sum\":" << hist.sum
        << ",\"buckets\":[";
     bool first_bucket = true;
@@ -249,7 +242,7 @@ std::string MetricsSampler::ToJsonLines() const {
   os << "{\"type\":\"series-meta\",\"version\":1,\"interval_ms\":"
      << options_.interval.count() << ",\"logical\":"
      << (options_.logical_clock ? "true" : "false") << ",\"tag\":\""
-     << EscapeName(options_.tag) << "\"}\n";
+     << JsonEscape(options_.tag) << "\"}\n";
   std::lock_guard<std::mutex> lock(ring_mu_);
   for (const Sample& sample : ring_) {
     os << SampleJson(sample) << "\n";
@@ -258,17 +251,7 @@ std::string MetricsSampler::ToJsonLines() const {
 }
 
 Status MetricsSampler::WriteJsonLines(const std::string& path) const {
-  const std::string body = ToJsonLines();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  const int closed = std::fclose(f);
-  if (written != body.size() || closed != 0) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::OK();
+  return WriteOut(path, ToJsonLines());
 }
 
 }  // namespace oodb

@@ -6,7 +6,7 @@
 // previous tick, gauge absolute values, and sparse per-bucket histogram
 // deltas — and appends it to a bounded ring. The ring is the time
 // series: export it as JSON lines (one sample per line) and feed it to
-// `oodb_top`, or keep it in memory as a crash-scene record of the last
+// `oodb top`, or keep it in memory as a crash-scene record of the last
 // N ticks.
 //
 // Consistency model: bounded staleness, never stop-the-world. The

@@ -9,200 +9,11 @@
 
 #include "obs/phases.h"
 #include "util/histogram.h"
+#include "util/json.h"
 
 namespace oodb {
 
 namespace {
-
-// --- a minimal JSON reader for sampler lines ---------------------------
-//
-// The sampler's emitter (obs/sampler.cc) writes a small, fixed shape:
-// objects, arrays, strings without exotic escapes, and integer numbers.
-// This reader accepts exactly that (plus standard whitespace); it keeps
-// object keys in file order, which the renderers rely on for
-// deterministic output.
-
-struct Json {
-  enum class Type { kNull, kBool, kInt, kStr, kObj, kArr };
-  Type type = Type::kNull;
-  bool b = false;
-  long long i = 0;            ///< numbers (sampler values are integers)
-  unsigned long long u = 0;   ///< same token as unsigned (counter deltas)
-  std::string str;
-  std::vector<std::pair<std::string, Json>> obj;
-  std::vector<Json> arr;
-
-  const Json* Find(const char* key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text)
-      : p_(text.data()), end_(text.data() + text.size()) {}
-
-  bool Parse(Json* out) {
-    SkipWs();
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return p_ == end_;
-  }
-
- private:
-  void SkipWs() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\r' ||
-                          *p_ == '\n')) {
-      ++p_;
-    }
-  }
-
-  bool ParseValue(Json* out) {
-    SkipWs();
-    if (p_ == end_) return false;
-    switch (*p_) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->type = Json::Type::kStr;
-        return ParseString(&out->str);
-      case 't':
-        if (end_ - p_ >= 4 && std::strncmp(p_, "true", 4) == 0) {
-          out->type = Json::Type::kBool;
-          out->b = true;
-          p_ += 4;
-          return true;
-        }
-        return false;
-      case 'f':
-        if (end_ - p_ >= 5 && std::strncmp(p_, "false", 5) == 0) {
-          out->type = Json::Type::kBool;
-          out->b = false;
-          p_ += 5;
-          return true;
-        }
-        return false;
-      case 'n':
-        if (end_ - p_ >= 4 && std::strncmp(p_, "null", 4) == 0) {
-          out->type = Json::Type::kNull;
-          p_ += 4;
-          return true;
-        }
-        return false;
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseObject(Json* out) {
-    out->type = Json::Type::kObj;
-    ++p_;  // '{'
-    SkipWs();
-    if (p_ != end_ && *p_ == '}') {
-      ++p_;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      std::string key;
-      if (p_ == end_ || *p_ != '"' || !ParseString(&key)) return false;
-      SkipWs();
-      if (p_ == end_ || *p_ != ':') return false;
-      ++p_;
-      Json value;
-      if (!ParseValue(&value)) return false;
-      out->obj.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (p_ == end_) return false;
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == '}') {
-        ++p_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseArray(Json* out) {
-    out->type = Json::Type::kArr;
-    ++p_;  // '['
-    SkipWs();
-    if (p_ != end_ && *p_ == ']') {
-      ++p_;
-      return true;
-    }
-    for (;;) {
-      Json value;
-      if (!ParseValue(&value)) return false;
-      out->arr.push_back(std::move(value));
-      SkipWs();
-      if (p_ == end_) return false;
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == ']') {
-        ++p_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    ++p_;  // '"'
-    out->clear();
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) return false;
-        switch (*p_) {
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          default:
-            out->push_back(*p_);
-        }
-        ++p_;
-      } else {
-        out->push_back(*p_++);
-      }
-    }
-    if (p_ == end_) return false;
-    ++p_;  // closing '"'
-    return true;
-  }
-
-  bool ParseNumber(Json* out) {
-    const char* start = p_;
-    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
-    while (p_ != end_ &&
-           ((*p_ >= '0' && *p_ <= '9') || *p_ == '.' || *p_ == 'e' ||
-            *p_ == 'E' || *p_ == '-' || *p_ == '+')) {
-      ++p_;
-    }
-    if (p_ == start) return false;
-    std::string token(start, p_);
-    out->type = Json::Type::kInt;
-    out->i = std::strtoll(token.c_str(), nullptr, 10);
-    out->u = std::strtoull(token.c_str(), nullptr, 10);
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-};
 
 // --- aggregation -------------------------------------------------------
 
@@ -437,6 +248,20 @@ uint64_t CounterOf(const Aggregate& agg, const char* name) {
   return it == agg.counters.end() ? 0 : it->second;
 }
 
+/// storage.cache.{hits,misses} over the window: summed counter deltas,
+/// or the last gauge value older series published; -1 when absent.
+int64_t CacheTally(const Aggregate& agg, const char* name) {
+  auto cit = agg.counters.find(name);
+  if (cit != agg.counters.end()) return static_cast<int64_t>(cit->second);
+  auto git = agg.last_gauges.find(name);
+  return git == agg.last_gauges.end() ? -1 : git->second;
+}
+
+int64_t MaxGauge(const Aggregate& agg, const char* name) {
+  auto it = agg.max_gauges.find(name);
+  return it == agg.max_gauges.end() ? 0 : it->second;
+}
+
 }  // namespace
 
 Result<SeriesData> ParseSeries(const std::string& jsonl) {
@@ -452,15 +277,14 @@ Result<SeriesData> ParseSeries(const std::string& jsonl) {
     ++line_no;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
-    Json root;
-    JsonReader reader(line);
-    if (!reader.Parse(&root) || root.type != Json::Type::kObj) {
+    JsonValue root;
+    if (!ParseJson(line, &root) || root.type != JsonValue::Type::kObject) {
       return Status::InvalidArgument("series line " +
                                      std::to_string(line_no) +
                                      ": malformed JSON");
     }
-    const Json* type = root.Find("type");
-    if (type == nullptr || type->type != Json::Type::kStr) {
+    const JsonValue* type = root.Find("type");
+    if (type == nullptr || type->type != JsonValue::Type::kString) {
       return Status::InvalidArgument("series line " +
                                      std::to_string(line_no) +
                                      ": missing \"type\"");
@@ -472,10 +296,12 @@ Result<SeriesData> ParseSeries(const std::string& jsonl) {
                                        ": duplicate series-meta");
       }
       saw_meta = true;
-      if (const Json* v = root.Find("version")) series.version = v->u;
-      if (const Json* v = root.Find("interval_ms")) series.interval_ms = v->u;
-      if (const Json* v = root.Find("logical")) series.logical = v->b;
-      if (const Json* v = root.Find("tag")) series.tag = v->str;
+      if (const JsonValue* v = root.Find("version")) series.version = v->u;
+      if (const JsonValue* v = root.Find("interval_ms")) {
+        series.interval_ms = v->u;
+      }
+      if (const JsonValue* v = root.Find("logical")) series.logical = v->b;
+      if (const JsonValue* v = root.Find("tag")) series.tag = v->str;
       if (series.version != 1) {
         return Status::InvalidArgument(
             "unsupported series version " + std::to_string(series.version));
@@ -492,27 +318,27 @@ Result<SeriesData> ParseSeries(const std::string& jsonl) {
           "series must start with a series-meta line");
     }
     SeriesSample sample;
-    if (const Json* v = root.Find("tick")) sample.tick = v->u;
-    if (const Json* v = root.Find("ts_ns")) sample.ts_ns = v->u;
-    if (const Json* v = root.Find("dur_ns")) sample.dur_ns = v->u;
-    if (const Json* counters = root.Find("counters")) {
+    if (const JsonValue* v = root.Find("tick")) sample.tick = v->u;
+    if (const JsonValue* v = root.Find("ts_ns")) sample.ts_ns = v->u;
+    if (const JsonValue* v = root.Find("dur_ns")) sample.dur_ns = v->u;
+    if (const JsonValue* counters = root.Find("counters")) {
       for (const auto& [name, value] : counters->obj) {
         sample.counters.emplace_back(name, value.u);
       }
     }
-    if (const Json* gauges = root.Find("gauges")) {
+    if (const JsonValue* gauges = root.Find("gauges")) {
       for (const auto& [name, value] : gauges->obj) {
         sample.gauges.emplace_back(name, value.i);
       }
     }
-    if (const Json* hists = root.Find("hists")) {
+    if (const JsonValue* hists = root.Find("hists")) {
       for (const auto& [name, value] : hists->obj) {
         SeriesSample::Hist hist;
         hist.name = name;
-        if (const Json* v = value.Find("count")) hist.count = v->u;
-        if (const Json* v = value.Find("sum")) hist.sum = v->u;
-        if (const Json* buckets = value.Find("buckets")) {
-          for (const Json& pair : buckets->arr) {
+        if (const JsonValue* v = value.Find("count")) hist.count = v->u;
+        if (const JsonValue* v = value.Find("sum")) hist.sum = v->u;
+        if (const JsonValue* buckets = value.Find("buckets")) {
+          for (const JsonValue& pair : buckets->arr) {
             if (pair.arr.size() == 2) {
               hist.buckets.emplace_back(
                   static_cast<uint32_t>(pair.arr[0].u), pair.arr[1].u);
@@ -629,22 +455,9 @@ std::string RenderScreen(const SeriesData& series, const TopOptions& options,
     }
   }
 
-  // storage.cache.{hits,misses} are counters (summed deltas over the
-  // window); fall back to the gauges older series published.
-  auto cache_tally = [&agg](const char* name, int64_t* out) {
-    auto cit = agg.counters.find(name);
-    if (cit != agg.counters.end()) {
-      *out = static_cast<int64_t>(cit->second);
-      return true;
-    }
-    auto git = agg.last_gauges.find(name);
-    if (git == agg.last_gauges.end()) return false;
-    *out = git->second;
-    return true;
-  };
-  int64_t hit_n = 0, miss_n = 0;
-  if (cache_tally("storage.cache.hits", &hit_n) &&
-      cache_tally("storage.cache.misses", &miss_n)) {
+  const int64_t hit_n = CacheTally(agg, "storage.cache.hits");
+  const int64_t miss_n = CacheTally(agg, "storage.cache.misses");
+  if (hit_n >= 0 && miss_n >= 0) {
     const int64_t total = hit_n + miss_n;
     char buf[96];
     std::snprintf(buf, sizeof(buf),
@@ -654,17 +467,13 @@ std::string RenderScreen(const SeriesData& series, const TopOptions& options,
                   total > 0 ? 100.0 * double(hit_n) / double(total) : 0.0);
     os << buf;
   }
-  auto max_gauge = [&agg](const char* name) -> int64_t {
-    auto it = agg.max_gauges.find(name);
-    return it == agg.max_gauges.end() ? 0 : it->second;
-  };
   if (agg.max_gauges.count("lock.waitsfor.nodes") != 0) {
-    os << "waits-for  peak " << max_gauge("lock.waitsfor.nodes")
-       << " nodes / " << max_gauge("lock.waitsfor.edges") << " edges\n";
+    os << "waits-for  peak " << MaxGauge(agg, "lock.waitsfor.nodes")
+       << " nodes / " << MaxGauge(agg, "lock.waitsfor.edges") << " edges\n";
   }
   if (agg.max_gauges.count("epoch.pending") != 0) {
-    os << "epoch  " << max_gauge("epoch.number") << " epochs, peak "
-       << max_gauge("epoch.pending") << " events pending\n";
+    os << "epoch  " << MaxGauge(agg, "epoch.number") << " epochs, peak "
+       << MaxGauge(agg, "epoch.pending") << " events pending\n";
   }
   if (agg.ticks > 0) {
     os << "sampler  " << agg.ticks << " ticks, "
@@ -686,7 +495,7 @@ std::string RenderReport(const SeriesData& series,
   std::ostringstream os;
   char buf[128];
   os << "{\n  \"format\": \"oodb-top-report-v1\",\n";
-  os << "  \"tag\": \"" << series.tag << "\",\n";
+  os << "  \"tag\": \"" << JsonEscape(series.tag) << "\",\n";
   os << "  \"ticks\": " << agg.ticks << ",\n";
   os << "  \"interval_ms\": " << series.interval_ms << ",\n";
   std::snprintf(buf, sizeof(buf), "%.6f", seconds);
@@ -709,7 +518,7 @@ std::string RenderReport(const SeriesData& series,
   bool first = true;
   for (const PhaseRow& row : phases) {
     std::snprintf(buf, sizeof(buf), "%.4f", row.share);
-    os << (first ? "" : ",") << "\n    \"" << row.name
+    os << (first ? "" : ",") << "\n    \"" << JsonEscape(row.name)
        << "\": {\"sum_ns\": " << row.sum << ", \"count\": " << row.count
        << ", \"share\": " << buf << ", \"p50_ns\": " << row.p50
        << ", \"p99_ns\": " << row.p99 << "}";
@@ -719,7 +528,8 @@ std::string RenderReport(const SeriesData& series,
 
   if (!phases.empty()) {
     // PhaseRows sorts by sum descending, so the dominant phase leads.
-    os << "  \"dominant_phase\": \"" << phases.front().name << "\",\n";
+    os << "  \"dominant_phase\": \"" << JsonEscape(phases.front().name)
+       << "\",\n";
     os << "  \"phase_sum_ns\": " << phase_sum << ",\n";
     os << "  \"e2e_sum_ns\": " << e2e_sum << ",\n";
     os << "  \"e2e_count\": " << e2e_count << ",\n";
@@ -754,15 +564,8 @@ std::string RenderReport(const SeriesData& series,
   }
   os << "],\n";
 
-  // Counters first (summed deltas), gauge fallback for older series.
-  auto cache_tally = [&agg](const char* name) -> int64_t {
-    auto cit = agg.counters.find(name);
-    if (cit != agg.counters.end()) return static_cast<int64_t>(cit->second);
-    auto git = agg.last_gauges.find(name);
-    return git == agg.last_gauges.end() ? -1 : git->second;
-  };
-  const int64_t hits = cache_tally("storage.cache.hits");
-  const int64_t misses = cache_tally("storage.cache.misses");
+  const int64_t hits = CacheTally(agg, "storage.cache.hits");
+  const int64_t misses = CacheTally(agg, "storage.cache.misses");
   if (hits >= 0 && misses >= 0) {
     const int64_t total = hits + misses;
     std::snprintf(buf, sizeof(buf), "%.4f",
@@ -770,13 +573,10 @@ std::string RenderReport(const SeriesData& series,
     os << "  \"cache\": {\"hits\": " << hits << ", \"misses\": " << misses
        << ", \"hit_ratio\": " << buf << "},\n";
   }
-  auto max_gauge = [&agg](const char* name) {
-    auto it = agg.max_gauges.find(name);
-    return it == agg.max_gauges.end() ? int64_t{0} : it->second;
-  };
   os << "  \"waits_for\": {\"peak_nodes\": "
-     << max_gauge("lock.waitsfor.nodes")
-     << ", \"peak_edges\": " << max_gauge("lock.waitsfor.edges") << "},\n";
+     << MaxGauge(agg, "lock.waitsfor.nodes")
+     << ", \"peak_edges\": " << MaxGauge(agg, "lock.waitsfor.edges")
+     << "},\n";
 
   os << "  \"sampler\": {\"ticks\": " << agg.ticks
      << ", \"total_tick_ns\": " << agg.sampler_ns << "}\n";

@@ -1,4 +1,4 @@
-// oodb_top: the bottleneck inspector over a sampler time-series.
+// `oodb top`: the bottleneck inspector over a sampler time-series.
 //
 // Consumes the JSON-lines series a MetricsSampler exports (live, or
 // replayed from a file) and renders two views:

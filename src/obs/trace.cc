@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace oodb {
 
 namespace {
@@ -15,37 +17,6 @@ uint64_t WallNanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           Clock::now().time_since_epoch())
           .count());
-}
-
-/// Minimal JSON string escaping for names/outcomes/details.
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Ids print as signed so UINT64_MAX (no parent / no object) reads -1.
@@ -120,19 +91,19 @@ std::string Tracer::ToJsonLines() const {
   std::ostringstream os;
   os << "{\"type\":\"meta\",\"version\":1,\"golden\":"
      << (options_.golden ? "true" : "false") << ",\"tag\":\""
-     << Escape(options_.tag) << "\"}\n";
+     << JsonEscape(options_.tag) << "\"}\n";
   for (const TraceInstant* i : instants) {
-    os << "{\"type\":\"instant\",\"name\":\"" << Escape(i->name)
-       << "\",\"ts\":" << i->ts << ",\"detail\":\"" << Escape(i->detail)
+    os << "{\"type\":\"instant\",\"name\":\"" << JsonEscape(i->name)
+       << "\",\"ts\":" << i->ts << ",\"detail\":\"" << JsonEscape(i->detail)
        << "\"}\n";
   }
   for (const TraceSpan* s : spans) {
     os << "{\"type\":\"span\",\"id\":" << s->id
        << ",\"parent\":" << AsSigned(s->parent) << ",\"name\":\""
-       << Escape(s->name) << "\",\"object\":" << AsSigned(s->object)
+       << JsonEscape(s->name) << "\",\"object\":" << AsSigned(s->object)
        << ",\"txn\":" << s->txn << ",\"level\":" << s->level
        << ",\"tid\":" << s->tid << ",\"start\":" << s->start
-       << ",\"end\":" << s->end << ",\"outcome\":\"" << Escape(s->outcome)
+       << ",\"end\":" << s->end << ",\"outcome\":\"" << JsonEscape(s->outcome)
        << "\"";
     // Phase breakdowns are wall-clock ns, so golden (logical-clock)
     // traces omit them to stay byte-stable.
@@ -160,13 +131,13 @@ std::string Tracer::ToChromeTrace() const {
   os << "{\"traceEvents\":[\n";
   os << "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
         "\"args\":{\"name\":\"oodb"
-     << (options_.tag.empty() ? "" : " ") << Escape(options_.tag) << "\"}}";
+     << (options_.tag.empty() ? "" : " ") << JsonEscape(options_.tag) << "\"}}";
   char buf[64];
   for (const TraceInstant* i : instants) {
     std::snprintf(buf, sizeof(buf), "%.3f", ts_of(i->ts));
     os << ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":" << buf
-       << ",\"s\":\"g\",\"name\":\"" << Escape(i->name)
-       << "\",\"args\":{\"detail\":\"" << Escape(i->detail) << "\"}}";
+       << ",\"s\":\"g\",\"name\":\"" << JsonEscape(i->name)
+       << "\",\"args\":{\"detail\":\"" << JsonEscape(i->detail) << "\"}}";
   }
   for (const TraceSpan* s : spans) {
     os << ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":" << s->tid << ",\"ts\":";
@@ -174,12 +145,12 @@ std::string Tracer::ToChromeTrace() const {
     os << buf << ",\"dur\":";
     std::snprintf(buf, sizeof(buf), "%.3f",
                   ts_of(s->end) - ts_of(s->start));
-    os << buf << ",\"name\":\"" << Escape(s->name)
+    os << buf << ",\"name\":\"" << JsonEscape(s->name)
        << "\",\"args\":{\"id\":" << s->id
        << ",\"parent\":" << AsSigned(s->parent)
        << ",\"object\":" << AsSigned(s->object) << ",\"txn\":" << s->txn
        << ",\"level\":" << s->level << ",\"outcome\":\""
-       << Escape(s->outcome) << "\"}}";
+       << JsonEscape(s->outcome) << "\"}}";
   }
   os << "\n]}\n";
   return os.str();

@@ -1,6 +1,5 @@
 #include "obs/trace_check.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -8,51 +7,28 @@
 
 #include "obs/top.h"
 #include "util/histogram.h"
+#include "util/json.h"
 
 namespace oodb {
 
 namespace {
 
-/// Extracts the value of "key": as a signed number. False if absent or
-/// malformed.
-bool FindNumber(const std::string& line, const std::string& key,
-                long long* out) {
-  std::string needle = "\"" + key + "\":";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  const char* start = line.c_str() + pos;
-  char* end = nullptr;
-  long long v = std::strtoll(start, &end, 10);
-  if (end == start) return false;
-  *out = v;
+/// Member `key` of a parsed line as a number. False if absent or not a
+/// number.
+bool IntMember(const JsonValue& line, const char* key, long long* out) {
+  const JsonValue* v = line.Find(key);
+  if (v == nullptr || v->type != JsonValue::Type::kNumber) return false;
+  *out = v->i;
   return true;
 }
 
-/// Extracts the value of "key": as a string (no unescaping; emitter
-/// escapes quotes, so scanning to the next unescaped quote is exact).
-bool FindString(const std::string& line, const std::string& key,
-                std::string* out) {
-  std::string needle = "\"" + key + "\":\"";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  std::string value;
-  while (pos < line.size()) {
-    char c = line[pos];
-    if (c == '\\' && pos + 1 < line.size()) {
-      value += line[pos + 1];
-      pos += 2;
-      continue;
-    }
-    if (c == '"') {
-      *out = std::move(value);
-      return true;
-    }
-    value += c;
-    ++pos;
-  }
-  return false;
+/// Member `key` of a parsed line as a string. False if absent or not a
+/// string.
+bool StringMember(const JsonValue& line, const char* key, std::string* out) {
+  const JsonValue* v = line.Find(key);
+  if (v == nullptr || v->type != JsonValue::Type::kString) return false;
+  *out = v->str;
+  return true;
 }
 
 struct SpanRow {
@@ -69,7 +45,7 @@ Status Fail(size_t line_no, const std::string& what) {
 
 Status ValidateTraceLines(const std::string& jsonl) {
   std::istringstream in(jsonl);
-  std::string line;
+  std::string text;
   size_t line_no = 0;
   std::unordered_map<long long, SpanRow> spans;
   // Two passes over the same document: the first collects spans (the
@@ -79,17 +55,21 @@ Status ValidateTraceLines(const std::string& jsonl) {
   // order-independent), the second verifies parent linkage.
   std::vector<std::pair<size_t, long long>> to_check;  // (line, id)
 
-  while (std::getline(in, line)) {
+  while (std::getline(in, text)) {
     ++line_no;
-    if (line.empty()) continue;
+    if (text.empty()) continue;
+    JsonValue line;
+    if (!ParseJson(text, &line) || line.type != JsonValue::Type::kObject) {
+      return Fail(line_no, "malformed JSON");
+    }
     std::string type;
-    if (!FindString(line, "type", &type)) {
+    if (!StringMember(line, "type", &type)) {
       return Fail(line_no, "missing \"type\"");
     }
     if (line_no == 1) {
       if (type != "meta") return Fail(line_no, "first line must be meta");
       long long version;
-      if (!FindNumber(line, "version", &version)) {
+      if (!IntMember(line, "version", &version)) {
         return Fail(line_no, "meta without version");
       }
       continue;
@@ -98,10 +78,10 @@ Status ValidateTraceLines(const std::string& jsonl) {
     if (type == "instant") {
       std::string name;
       long long ts;
-      if (!FindString(line, "name", &name) || name.empty()) {
+      if (!StringMember(line, "name", &name) || name.empty()) {
         return Fail(line_no, "instant without name");
       }
-      if (!FindNumber(line, "ts", &ts) || ts < 0) {
+      if (!IntMember(line, "ts", &ts) || ts < 0) {
         return Fail(line_no, "instant without ts");
       }
       continue;
@@ -111,20 +91,20 @@ Status ValidateTraceLines(const std::string& jsonl) {
     long long id, object, tid;
     SpanRow row;
     std::string name, outcome;
-    if (!FindNumber(line, "id", &id)) return Fail(line_no, "span without id");
-    if (!FindNumber(line, "parent", &row.parent) ||
-        !FindNumber(line, "object", &object) ||
-        !FindNumber(line, "txn", &row.txn) ||
-        !FindNumber(line, "level", &row.level) ||
-        !FindNumber(line, "tid", &tid) ||
-        !FindNumber(line, "start", &row.start) ||
-        !FindNumber(line, "end", &row.end)) {
+    if (!IntMember(line, "id", &id)) return Fail(line_no, "span without id");
+    if (!IntMember(line, "parent", &row.parent) ||
+        !IntMember(line, "object", &object) ||
+        !IntMember(line, "txn", &row.txn) ||
+        !IntMember(line, "level", &row.level) ||
+        !IntMember(line, "tid", &tid) ||
+        !IntMember(line, "start", &row.start) ||
+        !IntMember(line, "end", &row.end)) {
       return Fail(line_no, "span missing a required numeric field");
     }
-    if (!FindString(line, "name", &name) || name.empty()) {
+    if (!StringMember(line, "name", &name) || name.empty()) {
       return Fail(line_no, "span without name");
     }
-    if (!FindString(line, "outcome", &outcome) || outcome.empty()) {
+    if (!StringMember(line, "outcome", &outcome) || outcome.empty()) {
       return Fail(line_no, "span without outcome");
     }
     if (row.start > row.end) return Fail(line_no, "span with start > end");

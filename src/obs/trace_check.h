@@ -10,9 +10,8 @@
 //     and sits exactly one level above it — i.e. the flat file really
 //     encodes the nested transaction tree.
 //
-// The checker parses only what the emitter writes (flat one-line JSON
-// objects with known keys); it is a schema gate for CI, not a general
-// JSON parser.
+// Each line is parsed with the shared util/json reader, so a line that
+// is not one JSON object is itself a schema violation.
 
 #pragma once
 

@@ -77,16 +77,17 @@ std::string SchedulePrinter::DependencyTable(const TransactionSystem& ts,
   return out;
 }
 
-namespace {
-
 std::string DotEscape(const std::string& s) {
   std::string out;
+  out.reserve(s.size());
   for (char c : s) {
     if (c == '"' || c == '\\') out += '\\';
     out += c;
   }
   return out;
 }
+
+namespace {
 
 std::string DotNode(const TransactionSystem& ts, ActionId a) {
   std::string out = "a";

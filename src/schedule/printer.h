@@ -11,6 +11,9 @@
 
 namespace oodb {
 
+/// Escapes quotes and backslashes for a Graphviz double-quoted string.
+std::string DotEscape(const std::string& s);
+
 class SchedulePrinter {
  public:
   /// ASCII rendering of one oo-transaction's call tree (Fig 5 style):

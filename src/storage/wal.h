@@ -155,7 +155,7 @@ class Wal {
 
   /// Scan with full framing detail: per-record byte offsets and sizes,
   /// plus an explicit classification of the torn tail. Scan() is a thin
-  /// wrapper over this, so the inspector (`oodb_walinspect`) and
+  /// wrapper over this, so the inspector (`oodb walinspect`) and
   /// recovery read one log with one decoder and can never disagree on
   /// where the valid prefix ends.
   static Status ScanDetailed(const std::string& path, WalScanResult* out);

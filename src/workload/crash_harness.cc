@@ -14,6 +14,7 @@
 #include "containers/page_ops.h"
 #include "containers/persist.h"
 #include "schedule/validator.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -160,11 +161,6 @@ std::string CrashHarnessReport::Row() const {
 
 std::string CrashHarnessReport::Json(int64_t crash_after) const {
   auto b = [](bool v) { return v ? "true" : "false"; };
-  std::string esc;
-  for (char c : failure) {
-    if (c == '"' || c == '\\') esc += '\\';
-    esc += c;
-  }
   std::string out = "{\"crash_after\": " + std::to_string(crash_after) +
                     ", \"ok\": " + b(ok()) +
                     ", \"crashed\": " + b(crashed) +
@@ -188,7 +184,9 @@ std::string CrashHarnessReport::Json(int64_t crash_after) const {
                     std::to_string(recovery.undo_records) +
                     ", \"unundoable\": " + std::to_string(recovery.unundoable) +
                     ", \"timeline\": " + recovery.timeline.Json() + "}";
-  if (!failure.empty()) out += ", \"failure\": \"" + esc + "\"";
+  if (!failure.empty()) {
+    out += ", \"failure\": \"" + JsonEscape(failure) + "\"";
+  }
   out += "}";
   return out;
 }

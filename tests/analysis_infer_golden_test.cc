@@ -1,11 +1,11 @@
 // Byte-stable inferred matrices, pinned against checked-in goldens.
 //
 // The goldens live in tests/golden/infer_<schema>.txt and double as the
-// reference for the CI inference drift gate, which diffs `oodb_infer
-// <schema>` output against the same files — so this test reproduces the
-// binary's text output exactly (schema header line + one RenderInferredText
-// block per registered type, registry order). Regenerate after an
-// intentional change with:
+// reference for the inference drift gates (ctest and CI), which diff
+// `oodb infer <schema>` output against the same files — so this test
+// reproduces the tool's text output exactly (schema header line + one
+// RenderInferredText block per registered type, registry order).
+// Regenerate after an intentional change with:
 //   OODB_REGEN_GOLDENS=1 ./build/tests/analysis_infer_golden_test
 
 #include <gtest/gtest.h>
@@ -17,16 +17,8 @@
 
 #include "analysis/commutativity_inference.h"
 #include "analysis/spec_synthesis.h"
-#include "apps/bank.h"
-#include "apps/document.h"
-#include "apps/encyclopedia.h"
 #include "cc/database.h"
-#include "containers/bptree.h"
-#include "containers/directory.h"
-#include "containers/escrow.h"
-#include "containers/fifo_queue.h"
-#include "containers/hash_index.h"
-#include "containers/page_ops.h"
+#include "tools/tools.h"
 
 namespace oodb {
 namespace {
@@ -51,28 +43,11 @@ void ExpectMatchesGolden(const std::string& actual, const std::string& name) {
   EXPECT_EQ(buf.str(), actual) << name;
 }
 
-/// Mirrors `oodb_infer <schema>`: the same registrations, the same
+/// Mirrors `oodb infer <schema>`: the same registrations, the same
 /// header, the same per-type rendering, in registry order.
 std::string RenderSchema(const std::string& name) {
   Database db;
-  if (name == "bank") {
-    Bank::RegisterMethods(&db, BankSemantics::kEscrow);
-    Bank::RegisterMethods(&db, BankSemantics::kNameOnly);
-    Bank::RegisterMethods(&db, BankSemantics::kReadWrite);
-  } else if (name == "document") {
-    Document::RegisterMethods(&db);
-  } else if (name == "encyclopedia") {
-    Encyclopedia::RegisterMethods(&db);
-  } else {
-    RegisterQueueMethods(&db);
-    RegisterDirectoryMethods(&db);
-    RegisterAccountMethods(&db, EscrowAccountType());
-    RegisterAccountMethods(&db, NameOnlyAccountType());
-    RegisterAccountMethods(&db, RWAccountType());
-    RegisterPageMethods(&db);
-    BpTree::RegisterMethods(&db);
-    HashIndex::RegisterMethods(&db);
-  }
+  EXPECT_TRUE(tools::RegisterSchema(name, &db)) << name;
   std::string out = "== oodb_infer: schema '" + name + "' ==\n";
   for (const ObjectType* type : db.registry().Types()) {
     out += analysis::RenderInferredText(

@@ -1,4 +1,4 @@
-// Commutativity-inference tests (lint pass 6 + oodb_infer engine):
+// Commutativity-inference tests (lint pass 6 + `oodb infer` engine):
 //
 //   * seeded defects — a fifo spec that lies about deq/deq, an
 //     escrow-ish spec that lies about balance/deposit, and a mutating

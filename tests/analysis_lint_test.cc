@@ -1,4 +1,4 @@
-// oodb_lint pass tests: each seeded defect class — asymmetric spec,
+// `oodb lint` pass tests: each seeded defect class — asymmetric spec,
 // mis-declared memo class, diverging lock table, schema rot in the call
 // graph — must be caught, and the shipped app schemas must audit clean
 // (errors and warnings gate; notes are properties, not defects).

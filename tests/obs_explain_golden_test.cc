@@ -8,8 +8,9 @@
 //     hops through the Def 5 virtual object Node6'.
 //
 // The goldens live in tests/golden/ and double as the reference for
-// the CI explain gate, which diffs `oodb_explain` output against the
-// same files. Regenerate after an intentional format change with:
+// the `oodb explain` golden gates (ctest and CI), which diff the CLI's
+// output against the same files. Regenerate after an intentional
+// format change with:
 //   OODB_REGEN_GOLDENS=1 ./build/tests/obs_explain_golden_test
 
 #include <gtest/gtest.h>
@@ -19,11 +20,11 @@
 #include <sstream>
 #include <string>
 
-#include "apps/encyclopedia.h"
 #include "cc/database.h"
 #include "obs/explain.h"
 #include "schedule/validator.h"
 #include "workload/anomalies.h"
+#include "workload/paper_worlds.h"
 
 namespace oodb {
 namespace {
@@ -51,7 +52,7 @@ void ExpectMatchesGolden(const std::string& actual, const std::string& name) {
 }
 
 /// Provenance-recording serial validation — the deterministic pipeline
-/// oodb_explain runs, so these goldens also pin the CLI's output.
+/// `oodb explain` runs, so these goldens also pin the CLI's output.
 ValidationReport Validate(TransactionSystem* ts) {
   ValidationOptions options;
   options.record_provenance = true;
@@ -81,26 +82,9 @@ TEST(ExplainGoldenTest, S9LostUpdateDotAndJson) {
 
 TEST(ExplainGoldenTest, Fig7Explanation) {
   // The Example 4 schedule through the real runtime, exactly as
-  // `oodb_explain --workload=fig7` runs it.
+  // `oodb explain --workload=fig7` runs it.
   Database db;
-  Encyclopedia::RegisterMethods(&db);
-  ObjectId enc = Encyclopedia::Create(&db, "Enc", 8, 8, 4);
-  (void)db.RunTransaction("T1", [&](MethodContext& txn) {
-    return txn.Call(enc, Encyclopedia::Insert("DBS", "database systems"));
-  });
-  (void)db.RunTransaction("T2", [&](MethodContext& txn) {
-    OODB_RETURN_IF_ERROR(
-        txn.Call(enc, Encyclopedia::Insert("DBMS", "dbms v1")));
-    return txn.Call(enc, Encyclopedia::Change("DBMS", "dbms v2"));
-  });
-  (void)db.RunTransaction("T3", [&](MethodContext& txn) {
-    Value out;
-    return txn.Call(enc, Encyclopedia::Search("DBS"), &out);
-  });
-  (void)db.RunTransaction("T4", [&](MethodContext& txn) {
-    Value out;
-    return txn.Call(enc, Encyclopedia::ReadSeq(), &out);
-  });
+  (void)RunExample4(&db);
 
   ValidationReport report = Validate(&db.ts());
   EXPECT_TRUE(report.oo_serializable);

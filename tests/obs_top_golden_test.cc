@@ -1,4 +1,4 @@
-// Golden oodb_top contract: rendering a committed flight-recorder
+// Golden `oodb top` contract: rendering a committed flight-recorder
 // series (recorded from the s11 smoke cell) is byte-stable — both the
 // human screen and the machine report. The report must name a dominant
 // bottleneck phase, and its per-phase sums must cover the measured
@@ -13,6 +13,8 @@
 #include <string>
 
 #include "obs/top.h"
+#include "obs/trace_check.h"
+#include "util/json.h"
 
 namespace oodb {
 namespace {
@@ -93,6 +95,29 @@ TEST(TopGoldenTest, ReportNamesDominantPhaseCoveringLatency) {
       report.c_str() + phase_pos + phase_needle.size(), nullptr, 10);
   EXPECT_GT(dominant_sum, 0u);
   EXPECT_GE(dominant_sum * 2, phase_sum / 3);  // sanity: a real share
+}
+
+TEST(TopGoldenTest, ReportEscapesStringsFromTheSeries) {
+  // A meta tag with escaped quotes passes the series schema check; the
+  // report must carry it escaped again, or it is not JSON.
+  std::string text = ReadFile(GoldenPath("top_series.jsonl"));
+  const std::string tag = "\"tag\":\"s11:smoke\"";
+  const size_t at = text.find(tag);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, tag.size(), "\"tag\":\"s11:\\\"smoke\\\"\"");
+  ASSERT_TRUE(ValidateSeriesLines(text).ok());
+  Result<SeriesData> series = ParseSeries(text);
+  ASSERT_TRUE(series.ok()) << series.status().ToString();
+  EXPECT_EQ(series->tag, "s11:\"smoke\"");
+
+  JsonValue report;
+  ASSERT_TRUE(ParseJson(RenderReport(*series, TopOptions{}), &report));
+  const JsonValue* rendered_tag = report.Find("tag");
+  ASSERT_NE(rendered_tag, nullptr);
+  EXPECT_EQ(rendered_tag->str, "s11:\"smoke\"");
+  const JsonValue* dominant = report.Find("dominant_phase");
+  ASSERT_NE(dominant, nullptr);
+  EXPECT_NE(report.Find("phases")->Find(dominant->str), nullptr);
 }
 
 TEST(TopGoldenTest, WindowedScreenFoldsOnlyTheTail) {

@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "obs/trace_check.h"
 #include "schedule/validator.h"
+#include "workload/paper_worlds.h"
 
 namespace oodb {
 namespace {
@@ -26,31 +27,13 @@ struct GoldenRun {
 
 /// One full instrumented Fig 7 run: the four Example 4 transactions,
 /// then validation (whose extension instants also land in the trace).
-GoldenRun RunFig7Golden() {
+GoldenRun GoldenExample4Run() {
   MetricsRegistry registry;
   Tracer tracer(TracerOptions{.golden = true, .tag = "fig7"});
   Database db;
   db.AttachObservability(&registry, &tracer);
-  Encyclopedia::RegisterMethods(&db);
-  ObjectId enc = Encyclopedia::Create(&db, "Enc", 8, 8, 4);
-  EXPECT_TRUE(db.RunTransaction("T1", [&](MethodContext& txn) {
-                  return txn.Call(
-                      enc, Encyclopedia::Insert("DBS", "database systems"));
-                }).ok());
-  EXPECT_TRUE(db.RunTransaction("T2", [&](MethodContext& txn) {
-                  OODB_RETURN_IF_ERROR(
-                      txn.Call(enc, Encyclopedia::Insert("DBMS", "dbms v1")));
-                  return txn.Call(enc,
-                                  Encyclopedia::Change("DBMS", "dbms v2"));
-                }).ok());
-  EXPECT_TRUE(db.RunTransaction("T3", [&](MethodContext& txn) {
-                  Value out;
-                  return txn.Call(enc, Encyclopedia::Search("DBS"), &out);
-                }).ok());
-  EXPECT_TRUE(db.RunTransaction("T4", [&](MethodContext& txn) {
-                  Value out;
-                  return txn.Call(enc, Encyclopedia::ReadSeq(), &out);
-                }).ok());
+  Status st = RunExample4(&db);
+  EXPECT_TRUE(st.ok()) << st.ToString();
 
   GoldenRun run;
   run.runtime_actions = db.ts().action_count();
@@ -68,8 +51,8 @@ GoldenRun RunFig7Golden() {
 }
 
 TEST(GoldenTraceTest, ByteStableAcrossRuns) {
-  GoldenRun a = RunFig7Golden();
-  GoldenRun b = RunFig7Golden();
+  GoldenRun a = GoldenExample4Run();
+  GoldenRun b = GoldenExample4Run();
   EXPECT_EQ(a.jsonl, b.jsonl);
   EXPECT_EQ(a.chrome, b.chrome);
   EXPECT_FALSE(a.jsonl.empty());
@@ -79,7 +62,7 @@ TEST(GoldenTraceTest, ByteStableAcrossRuns) {
 }
 
 TEST(GoldenTraceTest, PassesSchemaCheck) {
-  GoldenRun run = RunFig7Golden();
+  GoldenRun run = GoldenExample4Run();
   Status st = ValidateTraceLines(run.jsonl);
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
@@ -89,8 +72,7 @@ TEST(GoldenTraceTest, SpanTreeMatchesActionNesting) {
   Tracer tracer(TracerOptions{.golden = true, .tag = "fig7"});
   Database db;
   db.AttachObservability(&registry, &tracer);
-  Encyclopedia::RegisterMethods(&db);
-  ObjectId enc = Encyclopedia::Create(&db, "Enc", 8, 8, 4);
+  ObjectId enc = CreateExample4World(&db);
   ASSERT_TRUE(db.RunTransaction("T1", [&](MethodContext& txn) {
                   return txn.Call(
                       enc, Encyclopedia::Insert("DBS", "database systems"));
@@ -141,8 +123,7 @@ TEST(GoldenTraceTest, MetricsSnapshotCoversRuntimeAndEngine) {
   MetricsRegistry registry;
   Database db;
   db.AttachObservability(&registry, nullptr);
-  Encyclopedia::RegisterMethods(&db);
-  ObjectId enc = Encyclopedia::Create(&db, "Enc", 8, 8, 4);
+  ObjectId enc = CreateExample4World(&db);
   ASSERT_TRUE(db.RunTransaction("T1", [&](MethodContext& txn) {
                   return txn.Call(enc,
                                   Encyclopedia::Insert("DBS", "d"));

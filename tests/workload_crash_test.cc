@@ -1,7 +1,7 @@
 // The crash-injection harness as a ctest: kill -9 at a few seeded WAL
 // positions (including one after an epoch rotation), recover, and
 // check recovered state against the committed-only oracle. The full
-// sweep lives in CI / the oodb_crash CLI; this keeps a few always-run
+// sweep lives in CI / `oodb crash`; this keeps a few always-run
 // points in the default suite.
 
 #include <gtest/gtest.h>
