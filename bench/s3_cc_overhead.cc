@@ -102,10 +102,8 @@ BENCHMARK(BM_DirectoryInsert)
     ->Arg(int(SchedulerKind::kOpenNested));
 
 // S3b: the *offline* share of the CC cost — validating the history the
-// scheduler actually recorded. Reference engine (num_threads = 1)
-// against the memoized, worklist-driven engine (num_threads > 1) on the
-// same recorded system; the delta is the analysis overhead a deployment
-// pays per audit, not per transaction.
+// scheduler actually recorded: the analysis overhead a deployment pays
+// per audit, not per transaction.
 void BM_ValidateRecordedHistory(benchmark::State& state) {
   ObjectId enc;
   std::unique_ptr<Database> db =
@@ -121,14 +119,11 @@ void BM_ValidateRecordedHistory(benchmark::State& state) {
   SystemExtender::Extend(&db->ts());
   ValidationOptions options;
   options.apply_extension = false;
-  options.num_threads = size_t(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Validator::Validate(&db->ts(), options));
   }
-  state.SetLabel(options.num_threads == 1 ? "reference engine"
-                                          : "indexed engine x4");
 }
-BENCHMARK(BM_ValidateRecordedHistory)->Arg(1)->Arg(4);
+BENCHMARK(BM_ValidateRecordedHistory);
 
 }  // namespace
 

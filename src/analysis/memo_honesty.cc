@@ -33,8 +33,8 @@ std::vector<Diagnostic> CheckMemoHonesty(const TypeCorpus& corpus,
   if (memo == CommutativityMemo::kNone) {
     out.push_back({Severity::kNote, "memo-honesty", type->name(), "", "",
                    "declares kNone (state-dependent): every Def 9 query "
-                   "reaches the spec; the conflict index never memoizes "
-                   "this type"});
+                   "reaches the spec; no answer for this type may be "
+                   "cached"});
     return out;
   }
 
@@ -102,7 +102,7 @@ std::vector<Diagnostic> CheckMemoHonesty(const TypeCorpus& corpus,
                  (options.state_perturbations.empty()
                       ? " between identical probes"
                       : " after a state perturbation") +
-                 " — a memoized answer would be stale; declare kNone"});
+                 " — a cached answer would be stale; declare kNone"});
         return out;  // one witness is enough; state leaks repeat widely
       }
     }

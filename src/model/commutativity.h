@@ -22,13 +22,14 @@
 
 namespace oodb {
 
-/// What a spec's Commutes answers depend on — and therefore how far
-/// analysis passes (the conflict-index memo) may cache them. The spec
-/// declares this itself because only it knows its inputs; the safe
-/// default is kNone (never cache), which the escrow method requires:
-/// it "includes parameter values and the status of accessed objects in
-/// the commutativity definition", so yesterday's answer may be wrong
-/// today.
+/// What a spec's Commutes answers depend on — and therefore how far a
+/// caller may cache them. The validator caches nothing; lint pass 2
+/// (analysis/memo_honesty.h) checks the declaration against the spec's
+/// behaviour. The spec declares this itself because only it knows its
+/// inputs; the safe default is kNone (never cache), which the escrow
+/// method requires: it "includes parameter values and the status of
+/// accessed objects in the commutativity definition", so yesterday's
+/// answer may be wrong today.
 enum class CommutativityMemo {
   /// Answers may depend on object state or other external inputs:
   /// every query must reach the spec.
@@ -57,7 +58,7 @@ class CommutativitySpec {
     return !Commutes(a, b);
   }
 
-  /// Declared memoization granularity. Overrides must only widen this
+  /// Declared caching granularity. Overrides must only widen this
   /// when Commutes is a pure function of the declared inputs.
   virtual CommutativityMemo memo() const { return CommutativityMemo::kNone; }
 };
@@ -148,7 +149,7 @@ class PredicateCommutativity : public CommutativitySpec {
   bool Commutes(const Invocation& a, const Invocation& b) const override;
 
   /// Predicates are assumed pure in the invocations (the convenience
-  /// predicates below are), so answers memoize per invocation pair.
+  /// predicates below are), so answers are cacheable per invocation pair.
   /// A spec whose predicates consult object state (escrow-style) must
   /// call DeclareStateDependent() to opt out of caching.
   CommutativityMemo memo() const override {

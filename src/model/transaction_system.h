@@ -149,8 +149,8 @@ class TransactionSystem {
   bool Commute(ActionId a, ActionId b) const;
 
   /// Installs `spec` as the Def 9 commutativity source for objects of
-  /// `type`, replacing the type's declared spec in Commute (and in the
-  /// engines' ConflictIndex, which routes through SpecFor). This is how
+  /// `type`, replacing the type's declared spec in Commute, which routes
+  /// through SpecFor. This is how
   /// a matrix synthesized by the inference engine (analysis/
   /// spec_synthesis.h) is loaded and benched against the hand spec
   /// without re-registering types. `spec` must outlive the system; pass

@@ -16,10 +16,8 @@
 // Determinism contract: identical (system, report, tracer) inputs
 // produce byte-identical output. Objects render in id order, nodes in
 // relation insertion order, successors sorted ascending — no hash-map
-// iteration anywhere. Validate with num_threads = 1 (the serial
-// reference engine) when the output is golden-tested, because the
-// indexed engine may legitimately record a different (equally valid)
-// provenance cause for the same edge.
+// iteration anywhere. The validator itself records provenance
+// deterministically, so its reports are safe to golden-test.
 //
 // The relations and union sections need ValidationOptions::
 // record_provenance (which keeps the schedules on the report); without

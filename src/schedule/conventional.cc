@@ -1,222 +1,37 @@
 #include "schedule/conventional.h"
 
-#include <algorithm>
-#include <memory>
-#include <string>
-#include <thread>
-#include <unordered_map>
-
-#include "util/thread_pool.h"
-
 namespace oodb {
 
-namespace {
-
-/// One object's share of the conflict graph, computed independently and
-/// merged in object order afterwards.
-struct ObjectSweep {
-  std::vector<std::pair<uint64_t, uint64_t>> edges;  // top_a -> top_b
-  size_t conflicting_pairs = 0;
-};
-
-void SweepObject(const TransactionSystem& ts, ObjectId o, bool memoize,
-                 ObjectSweep* out) {
-  if (ts.object(o).is_virtual) return;
-  std::vector<ActionId> prims;
-  for (ActionId a : ts.ActionsOn(o)) {
-    if (ts.action(a).is_virtual) continue;
-    if (!ts.IsPrimitive(a)) continue;
-    if (ts.action(a).timestamp == 0) continue;  // never executed
-    prims.push_back(a);
+ConventionalResult ConventionalChecker::Check(const TransactionSystem& ts) {
+  ConventionalResult result;
+  for (ActionId t : ts.TopLevel()) {
+    result.conflict_graph.AddNode(t.value);
   }
-  if (prims.size() < 2) return;
-  const ObjectType* type = ts.object(o).type;
-  const CommutativityMemo memo =
-      memoize ? type->commutativity().memo() : CommutativityMemo::kNone;
-
-  if (memo == CommutativityMemo::kNone) {
+  for (ObjectId o : ts.Objects()) {
+    if (ts.object(o).is_virtual) continue;
+    std::vector<ActionId> prims;
+    for (ActionId a : ts.ActionsOn(o)) {
+      if (ts.action(a).is_virtual) continue;
+      if (!ts.IsPrimitive(a)) continue;
+      if (ts.action(a).timestamp == 0) continue;  // never executed
+      prims.push_back(a);
+    }
+    const ObjectType* type = ts.object(o).type;
     for (size_t i = 0; i < prims.size(); ++i) {
       const ActionRecord& ra = ts.action(prims[i]);
       for (size_t j = i + 1; j < prims.size(); ++j) {
         const ActionRecord& rb = ts.action(prims[j]);
         if (ra.top_level == rb.top_level) continue;
         if (type->Commutes(ra.invocation, rb.invocation)) continue;
-        ++out->conflicting_pairs;
+        ++result.conflicting_pairs;
         if (ra.timestamp < rb.timestamp) {
-          out->edges.emplace_back(ra.top_level.value, rb.top_level.value);
+          result.conflict_graph.AddEdge(ra.top_level.value,
+                                        rb.top_level.value);
         } else {
-          out->edges.emplace_back(rb.top_level.value, ra.top_level.value);
+          result.conflict_graph.AddEdge(rb.top_level.value,
+                                        ra.top_level.value);
         }
       }
-    }
-    return;
-  }
-
-  // Memoized sweep: classify the primitives at the spec's declared
-  // granularity, decide commutativity once per class pair, then run the
-  // quadratic loop on integers.
-  std::unordered_map<std::string, uint32_t> class_ids;
-  std::vector<const Invocation*> reps;
-  struct Row {
-    uint32_t cls;
-    uint64_t top;
-    uint64_t timestamp;
-  };
-  std::vector<Row> rows(prims.size());
-  for (size_t i = 0; i < prims.size(); ++i) {
-    const ActionRecord& r = ts.action(prims[i]);
-    std::string key = memo == CommutativityMemo::kMethodPair
-                          ? r.invocation.method
-                          : r.invocation.ToString();
-    auto [it, inserted] =
-        class_ids.try_emplace(std::move(key), uint32_t(class_ids.size()));
-    if (inserted) reps.push_back(&r.invocation);
-    rows[i] = {it->second, r.top_level.value, r.timestamp};
-  }
-  const size_t c = class_ids.size();
-  std::vector<uint8_t> commutes(c * c);
-  for (size_t i = 0; i < c; ++i) {
-    for (size_t j = i; j < c; ++j) {
-      commutes[i * c + j] = commutes[j * c + i] =
-          type->Commutes(*reps[i], *reps[j]) ? 1 : 0;
-    }
-  }
-
-  // Dense ids for the top-level transactions seen on this object.
-  std::unordered_map<uint64_t, uint32_t> top_ids;
-  std::vector<uint64_t> top_values;
-  for (Row& r : rows) {
-    auto [it, inserted] =
-        top_ids.try_emplace(r.top, uint32_t(top_ids.size()));
-    if (inserted) top_values.push_back(r.top);
-    r.top = it->second;
-  }
-  const size_t tops = top_ids.size();
-
-  if (c * tops > rows.size() * rows.size()) {
-    // Degenerate shape (nearly every row its own class and top): the
-    // sweep's bookkeeping would outweigh the plain quadratic loop.
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& ri = rows[i];
-      const uint8_t* row = commutes.data() + size_t(ri.cls) * c;
-      for (size_t j = i + 1; j < rows.size(); ++j) {
-        const Row& rj = rows[j];
-        if (ri.top == rj.top) continue;
-        if (row[rj.cls]) continue;
-        ++out->conflicting_pairs;
-        if (ri.timestamp < rj.timestamp) {
-          out->edges.emplace_back(top_values[ri.top],
-                                  top_values[rj.top]);
-        } else {
-          out->edges.emplace_back(top_values[rj.top],
-                                  top_values[ri.top]);
-        }
-      }
-    }
-    return;
-  }
-
-  // Timestamp-ordered sweep: process rows in execution order and keep,
-  // per invocation class, how many earlier rows exist in total, per
-  // top, and as a bitmask over tops. Each row then settles all its
-  // conflicting pairs with *earlier* rows in O(conflicting classes):
-  // the pair count is the class totals minus the same-top share, and
-  // the graph edges earlier-top -> this-top are the union of the class
-  // masks. Same pairs, same directions, same dedup as the quadratic
-  // loop — the timestamp comparison is just hoisted into the order.
-  //
-  // Equal timestamps (possible only for hand-built histories) fall to
-  // the quadratic loop's index-order rule: ties sort by *descending*
-  // index so the later-indexed row is seen first, reproducing its
-  // "else" branch edge exactly.
-  std::vector<uint32_t> order(rows.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-    if (rows[x].timestamp != rows[y].timestamp) {
-      return rows[x].timestamp < rows[y].timestamp;
-    }
-    return x > y;
-  });
-
-  // Per class: conflicting classes, total seen, seen per top, top mask.
-  std::vector<std::vector<uint32_t>> conflicts_with(c);
-  for (size_t y = 0; y < c; ++y) {
-    for (size_t x = 0; x < c; ++x) {
-      if (!commutes[y * c + x]) conflicts_with[y].push_back(uint32_t(x));
-    }
-  }
-  const size_t words = (tops + 63) / 64;
-  std::vector<uint32_t> seen_total(c, 0);
-  std::vector<uint32_t> seen_cnt(c * tops, 0);
-  std::vector<uint64_t> seen_mask(c * words, 0);
-  std::vector<uint64_t> edges_in(tops * words, 0);
-  std::vector<uint64_t> incoming(words);
-  for (uint32_t idx : order) {
-    const Row& r = rows[idx];
-    const uint32_t b = uint32_t(r.top);
-    const auto& conf = conflicts_with[r.cls];
-    if (!conf.empty()) {
-      std::fill(incoming.begin(), incoming.end(), 0);
-      for (uint32_t x : conf) {
-        out->conflicting_pairs += seen_total[x] - seen_cnt[x * tops + b];
-        const uint64_t* mask = seen_mask.data() + size_t(x) * words;
-        for (size_t w = 0; w < words; ++w) incoming[w] |= mask[w];
-      }
-      incoming[b / 64] &= ~(uint64_t{1} << (b % 64));
-      uint64_t* in_b = edges_in.data() + size_t(b) * words;
-      for (size_t w = 0; w < words; ++w) in_b[w] |= incoming[w];
-    }
-    ++seen_total[r.cls];
-    ++seen_cnt[size_t(r.cls) * tops + b];
-    seen_mask[size_t(r.cls) * words + b / 64] |= uint64_t{1} << (b % 64);
-  }
-  for (size_t b = 0; b < tops; ++b) {
-    const uint64_t* in_b = edges_in.data() + b * words;
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t bits = in_b[w];
-      while (bits) {
-        const size_t a = w * 64 + size_t(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        out->edges.emplace_back(top_values[a], top_values[b]);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-ConventionalResult ConventionalChecker::Check(const TransactionSystem& ts,
-                                              size_t num_threads) {
-  ConventionalResult result;
-  for (ActionId t : ts.TopLevel()) {
-    result.conflict_graph.AddNode(t.value);
-  }
-  std::vector<ObjectId> objects = ts.Objects();
-  std::vector<ObjectSweep> sweeps(objects.size());
-  if (num_threads == 1) {
-    for (size_t i = 0; i < objects.size(); ++i) {
-      SweepObject(ts, objects[i], /*memoize=*/false, &sweeps[i]);
-    }
-  } else {
-    size_t threads = num_threads == 0
-                         ? std::max<size_t>(
-                               1, std::thread::hardware_concurrency())
-                         : num_threads;
-    if (threads > 1) {
-      ThreadPool pool(threads);
-      pool.ParallelFor(objects.size(), [&](size_t i) {
-        SweepObject(ts, objects[i], /*memoize=*/true, &sweeps[i]);
-      });
-    } else {
-      for (size_t i = 0; i < objects.size(); ++i) {
-        SweepObject(ts, objects[i], /*memoize=*/true, &sweeps[i]);
-      }
-    }
-  }
-  for (const ObjectSweep& sweep : sweeps) {
-    result.conflicting_pairs += sweep.conflicting_pairs;
-    for (const auto& [from, to] : sweep.edges) {
-      result.conflict_graph.AddEdge(from, to);
     }
   }
   result.serializable = !result.conflict_graph.HasCycle();

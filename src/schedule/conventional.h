@@ -37,14 +37,7 @@ class ConventionalChecker {
   /// execution timestamps, an edge between their top-level transactions
   /// is added. Virtual duplicates (Def 5 bookkeeping) are skipped so the
   /// analysis sees exactly the physical history.
-  ///
-  /// `num_threads` mirrors ValidationOptions::num_threads: 1 = the
-  /// serial reference sweep; any other value (0 = hardware concurrency)
-  /// memoizes spec decisions per invocation class and fans the
-  /// per-object sweeps out over a pool. The resulting graph and counts
-  /// are identical.
-  static ConventionalResult Check(const TransactionSystem& ts,
-                                  size_t num_threads = 1);
+  static ConventionalResult Check(const TransactionSystem& ts);
 };
 
 }  // namespace oodb

@@ -1,29 +1,14 @@
 #include "schedule/dependency_engine.h"
 
-#include <algorithm>
 #include <memory>
-#include <thread>
 
 #include "model/extension.h"
 #include "obs/metrics.h"
-#include "schedule/conflict_index.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace oodb {
 
 namespace {
-
-/// Runs fn(i) for i in [0, n): across the pool when one is given,
-/// inline otherwise.
-void RunPerObject(ThreadPool* pool, size_t n,
-                  const std::function<void(size_t)>& fn) {
-  if (pool) {
-    pool->ParallelFor(n, fn);
-  } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 /// Observes the elapsed time of one engine stage and restarts the
 /// clock. No-op without a registry.
@@ -70,29 +55,17 @@ Status DependencyEngine::Compute() {
                                                     ts_.action_count());
   }
 
-  if (options_.mode == DependencyOptions::Mode::kIndexed) {
-    size_t threads = options_.num_threads;
-    if (threads == 0) {
-      threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-    }
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    ComputeIndexed(pool.get());
-  } else {
-    Stopwatch sw;
-    ComputeConflictPairs();
-    ObserveStage(options_.metrics, &sw, "dep.stage.conflict_pairs_ns");
-    SeedAxiom1();
-    ObserveStage(options_.metrics, &sw, "dep.stage.seed_ns");
-    while (PropagateOnce()) {
-      ++stats_.fixpoint_rounds;
-    }
-    ObserveStage(options_.metrics, &sw, "dep.stage.fixpoint_ns");
-    FinalizeDerivedStats(
-        [this](ActionId a, ActionId b) { return ts_.Commute(a, b); },
-        nullptr);
-    ObserveStage(options_.metrics, &sw, "dep.stage.derived_stats_ns");
+  Stopwatch sw;
+  ComputeConflictPairs();
+  ObserveStage(options_.metrics, &sw, "dep.stage.conflict_pairs_ns");
+  SeedAxiom1();
+  ObserveStage(options_.metrics, &sw, "dep.stage.seed_ns");
+  while (PropagateOnce()) {
+    ++stats_.fixpoint_rounds;
   }
+  ObserveStage(options_.metrics, &sw, "dep.stage.fixpoint_ns");
+  FinalizeDerivedStats();
+  ObserveStage(options_.metrics, &sw, "dep.stage.derived_stats_ns");
   computed_ = true;
   stats_.PublishTo(options_.metrics);
   return Status::OK();
@@ -106,16 +79,9 @@ const Digraph& DependencyEngine::TopLevelOrder() const {
   return schedules_[ObjectId::kSystem].action_deps;
 }
 
-void DependencyEngine::FinalizeDerivedStats(
-    const std::function<bool(ActionId, ActionId)>& commute,
-    ThreadPool* pool) {
-  const size_t n = schedules_.size();
-  std::vector<size_t> unordered(n, 0);
-  std::vector<size_t> stopped(n, 0);
-  RunPerObject(pool, n, [&](size_t i) {
-    const ObjectSchedule& sch = schedules_[i];
-    for (size_t s = 0; s < sch.conflict_pairs.size(); ++s) {
-      const auto& [a, b] = sch.conflict_pairs[s];
+void DependencyEngine::FinalizeDerivedStats() {
+  for (const ObjectSchedule& sch : schedules_) {
+    for (const auto& [a, b] : sch.conflict_pairs) {
       bool dep = sch.action_deps.HasEdge(a.value, b.value) ||
                  sch.action_deps.HasEdge(b.value, a.value);
       if (dep) {
@@ -126,8 +92,9 @@ void DependencyEngine::FinalizeDerivedStats(
         ActionId t = ts_.action(a).parent;
         ActionId u = ts_.action(b).parent;
         if (!t.valid() || !u.valid() || t == u) continue;
-        if (ts_.action(t).object == ts_.action(u).object && commute(t, u)) {
-          ++stopped[i];
+        if (ts_.action(t).object == ts_.action(u).object &&
+            ts_.Commute(t, u)) {
+          ++stats_.stopped_inheritance;
         }
         continue;
       }
@@ -139,16 +106,10 @@ void DependencyEngine::FinalizeDerivedStats(
                                       : !ts_.action(a).children.empty();
       bool b_ran = ts_.IsPrimitive(b) ? ts_.action(b).timestamp != 0
                                       : !ts_.action(b).children.empty();
-      if (a_ran && b_ran) ++unordered[i];
+      if (a_ran && b_ran) ++stats_.unordered_conflicts;
     }
-  });
-  for (size_t i = 0; i < n; ++i) {
-    stats_.unordered_conflicts += unordered[i];
-    stats_.stopped_inheritance += stopped[i];
   }
 }
-
-// --- reference engine -------------------------------------------------
 
 void DependencyEngine::ComputeConflictPairs() {
   for (ObjectSchedule& sch : schedules_) {
@@ -270,295 +231,6 @@ bool DependencyEngine::PropagateOnce() {
     }
   }
   return changed;
-}
-
-// --- indexed engine ---------------------------------------------------
-
-void DependencyEngine::ComputeIndexed(ThreadPool* pool) {
-  const size_t num_objects = schedules_.size();
-  const size_t num_actions = ts_.action_count();
-  ConflictIndex index(ts_);
-  MetricsRegistry* metrics = options_.metrics;
-  // Recording is race-free without locks: every parallel stage records
-  // only into its own object's shard; the cross-object Def 11/15
-  // placements happen in the serial merge phase.
-  ProvenanceStore* prov = provenance_.get();
-  Stopwatch sw;
-
-  // Flat per-action arrays. The pair sweeps below touch actions in
-  // data-dependent order; reading a handful of u64 arrays beats chasing
-  // the full ActionRecords (which drag invocation strings and child
-  // vectors into cache) by a wide margin.
-  std::vector<uint64_t> parent_of(num_actions), prim_ts(num_actions);
-  std::vector<uint64_t> object_of(num_actions), top_of(num_actions);
-  std::vector<uint8_t> ran(num_actions), has_child(num_actions);
-  for (size_t a = 0; a < num_actions; ++a) {
-    const ActionRecord& rec = ts_.action(ActionId(a));
-    bool prim = ts_.IsPrimitive(ActionId(a));
-    parent_of[a] = rec.parent.value;
-    prim_ts[a] = prim ? rec.timestamp : 0;
-    object_of[a] = rec.object.value;
-    top_of[a] = rec.top_level.value;
-    ran[a] = prim ? rec.timestamp != 0 : !rec.children.empty();
-    has_child[a] = !rec.children.empty();
-  }
-
-  // Stage 1: per-object invocation classes + conflict pairs. Objects
-  // are independent here.
-  RunPerObject(pool, num_objects, [&](size_t i) {
-    ObjectId o(i);
-    index.BuildForObject(o);
-    index.AppendConflictPairs(o, &schedules_[i].conflict_pairs);
-  });
-  ObserveStage(metrics, &sw, "dep.stage.conflict_pairs_ns");
-
-  // Stage 2: fused Axiom 1 seeding + first Def 10 pass, per object in
-  // parallel. A pair of executed primitives gets its timestamp
-  // direction as an action dependency, and — being a conflicting,
-  // dependent pair — immediately inherits that direction to the
-  // callers as a transaction dependency. This is exactly the reference
-  // engine's round-1 Def 10 output, derived without re-scanning.
-  //
-  // Bookkeeping for later stages: `directed[i][s]` flags pair slot s of
-  // object i once it carries a dependency in either direction (the
-  // post-hoc statistics read these flags instead of probing the graph),
-  // and `undirected_slot` finds a pair's slot when a Def 11 placement
-  // directs it later. Pair keys pack (min, max) as min * N + max with
-  // N = action_count, so the product stays below 2^64 for any history
-  // this engine can hold in memory.
-  const uint64_t kN = num_actions;
-  auto pair_key = [kN](uint64_t a, uint64_t b) {
-    return a < b ? a * kN + b : b * kN + a;
-  };
-  struct Edge {
-    uint64_t from, to;
-  };
-  std::vector<std::vector<uint8_t>> directed(num_objects);
-  std::vector<FlatMap64<uint32_t>> undirected_slot(num_objects);
-  std::vector<std::vector<Edge>> new_txn(num_objects);
-  std::vector<size_t> prim(num_objects, 0);
-  // Out-degree of every action in the seed relation, for pre-sized
-  // successor sets. Each action lives on exactly one object, so the
-  // per-object tasks write disjoint slots.
-  std::vector<uint32_t> seed_degree(num_actions, 0);
-  RunPerObject(pool, num_objects, [&](size_t i) {
-    ObjectSchedule& sch = schedules_[i];
-    const auto& pairs = sch.conflict_pairs;
-    directed[i].assign(pairs.size(), 0);
-    // Counting pre-pass (flat-array arithmetic only): the seed
-    // out-degrees, so every successor set below is allocated once at
-    // final size instead of rehashing its way up.
-    for (const auto& [pa, pb] : pairs) {
-      uint64_t ta = prim_ts[pa.value], tb = prim_ts[pb.value];
-      if (ta == 0 || tb == 0 || ta == tb) continue;
-      ++seed_degree[ta < tb ? pa.value : pb.value];
-    }
-    const auto& acts = ts_.ActionsOn(sch.object);
-    sch.action_deps.Reserve(acts.size());
-    for (ActionId act : acts) {
-      if (seed_degree[act.value] > 0) {
-        sch.action_deps.ReserveSuccessors(act.value,
-                                          seed_degree[act.value]);
-      }
-    }
-    // Small direct-mapped filter in front of the txn-dep insert: caller
-    // pairs repeat heavily (every conflicting primitive pair below the
-    // same two callers maps to one transaction dependency), but not
-    // always consecutively.
-    constexpr size_t kCacheSize = 256;  // power of two
-    Edge seen_txn[kCacheSize];
-    for (Edge& e : seen_txn) e = {UINT64_MAX, UINT64_MAX};
-    for (size_t s = 0; s < pairs.size(); ++s) {
-      uint64_t a = pairs[s].first.value, b = pairs[s].second.value;
-      uint64_t ta = prim_ts[a], tb = prim_ts[b];
-      if (ta == 0 || tb == 0 || ta == tb) {
-        // Only pairs of *calling* actions can acquire a direction later
-        // (Def 11 places transaction dependencies, whose endpoints are
-        // parents); childless actions never appear as placement
-        // endpoints, so their pairs skip the slot map.
-        if (has_child[a] && has_child[b]) {
-          undirected_slot[i][pair_key(a, b)] = uint32_t(s);
-        }
-        continue;
-      }
-      if (ta > tb) std::swap(a, b);
-      sch.action_deps.AddEdge(a, b);
-      if (prov) {
-        prov->Record(DepRelation::kAction, sch.object, ActionId(a),
-                     ActionId(b),
-                     {DepRule::kAxiom1, sch.object, ActionId(a),
-                      ActionId(b)});
-      }
-      directed[i][s] = 1;
-      ++prim[i];
-      uint64_t t = parent_of[a], u = parent_of[b];
-      if (t == ActionId::kInvalid || u == ActionId::kInvalid || t == u) {
-        continue;
-      }
-      Edge& slot =
-          seen_txn[(t * 0x9E3779B97F4A7C15ull ^ u) & (kCacheSize - 1)];
-      if (slot.from == t && slot.to == u) continue;
-      slot = {t, u};
-      if (sch.txn_deps.AddEdge(t, u)) {
-        new_txn[i].push_back({t, u});
-        if (prov) {
-          prov->Record(DepRelation::kTxn, sch.object, ActionId(t),
-                       ActionId(u),
-                       {DepRule::kDef10, sch.object, ActionId(a),
-                        ActionId(b)});
-        }
-      }
-    }
-  });
-  for (size_t i = 0; i < num_objects; ++i) {
-    stats_.primitive_conflicts += prim[i];
-  }
-  ObserveStage(metrics, &sw, "dep.stage.seed_ns");
-  Counter* m_waves =
-      metrics ? metrics->GetCounter("dep.worklist.waves") : nullptr;
-  Counter* m_frontier =
-      metrics ? metrics->GetCounter("dep.worklist.frontier_edges")
-              : nullptr;
-
-  // Delta-driven fixpoint. Each wave places the transaction
-  // dependencies recorded by the previous Def 10 stage (Def 11/15) and
-  // reexamines only the action-dep edges that placement added — their
-  // conflict membership is answered by the memoized index, since an
-  // edge between distinct actions of one object is a conflict pair iff
-  // the actions do not commute. Waves are the reference engine's
-  // rounds: the wave-k frontier is exactly what a full rescan would
-  // newly derive in pass k, so the statistics — including
-  // fixpoint_rounds — come out identical.
-  std::vector<std::vector<Edge>> frontier(num_objects);
-  for (;;) {
-    // Def 11 / Def 15 merge phase: placements target arbitrary
-    // objects, so they funnel through this serial stage. The volume
-    // here is transaction dependencies, orders of magnitude below the
-    // conflict-pair volume the parallel stages absorb.
-    bool changed = false;
-    size_t frontier_total = 0;
-    for (size_t i = 0; i < num_objects; ++i) {
-      if (new_txn[i].empty()) continue;
-      changed = true;
-      stats_.inherited_txn_deps += new_txn[i].size();
-      for (const Edge& e : new_txn[i]) {
-        ObjectId ot(object_of[e.from]);
-        ObjectId ou(object_of[e.to]);
-        if (ot == ou) {
-          ObjectSchedule& target = schedules_[ot.value];
-          if (target.action_deps.AddEdge(e.from, e.to)) {
-            if (prov) {
-              prov->Record(DepRelation::kAction, ot, ActionId(e.from),
-                           ActionId(e.to),
-                           {DepRule::kDef11, ObjectId(i),
-                            ActionId(e.from), ActionId(e.to)});
-            }
-            frontier[ot.value].push_back(e);
-            ++frontier_total;
-            if (const uint32_t* slot = undirected_slot[ot.value].find(
-                    pair_key(e.from, e.to))) {
-              directed[ot.value][*slot] = 1;
-            }
-          }
-        } else {
-          if (schedules_[ot.value].added_deps.AddEdge(e.from, e.to)) {
-            if (prov) {
-              prov->Record(DepRelation::kAdded, ot, ActionId(e.from),
-                           ActionId(e.to),
-                           {DepRule::kDef15, ObjectId(i),
-                            ActionId(e.from), ActionId(e.to)});
-            }
-            ++stats_.added_deps;
-          }
-          if (schedules_[ou.value].added_deps.AddEdge(e.from, e.to)) {
-            if (prov) {
-              prov->Record(DepRelation::kAdded, ou, ActionId(e.from),
-                           ActionId(e.to),
-                           {DepRule::kDef15, ObjectId(i),
-                            ActionId(e.from), ActionId(e.to)});
-            }
-            ++stats_.added_deps;
-          }
-        }
-      }
-      new_txn[i].clear();
-    }
-    if (changed) ++stats_.fixpoint_rounds;
-    if (changed && m_waves) m_waves->Increment();
-    if (m_frontier && frontier_total > 0) {
-      m_frontier->Increment(frontier_total);
-    }
-    if (frontier_total == 0) break;
-
-    // Def 10 stage: per object, in parallel (each task writes only its
-    // own object's txn_deps).
-    RunPerObject(pool, num_objects, [&](size_t i) {
-      if (frontier[i].empty()) return;
-      ObjectSchedule& sch = schedules_[i];
-      for (const Edge& e : frontier[i]) {
-        if (index.Commute(ActionId(e.from), ActionId(e.to))) continue;
-        uint64_t t = parent_of[e.from], u = parent_of[e.to];
-        if (t == ActionId::kInvalid || u == ActionId::kInvalid || t == u) {
-          continue;
-        }
-        if (sch.txn_deps.AddEdge(t, u)) {
-          new_txn[i].push_back({t, u});
-          if (prov) {
-            prov->Record(DepRelation::kTxn, sch.object, ActionId(t),
-                         ActionId(u),
-                         {DepRule::kDef10, sch.object, ActionId(e.from),
-                          ActionId(e.to)});
-          }
-        }
-      }
-      frontier[i].clear();
-    });
-  }
-  ObserveStage(metrics, &sw, "dep.stage.fixpoint_ns");
-
-  // Post-fixpoint derived counters — the indexed twin of
-  // FinalizeDerivedStats. The directed flags replace the per-pair
-  // HasEdge probes, the flat arrays replace the ActionRecord reads, and
-  // caller commutativity comes from the memo.
-  std::vector<size_t> unordered(num_objects, 0);
-  std::vector<size_t> stopped(num_objects, 0);
-  RunPerObject(pool, num_objects, [&](size_t i) {
-    const ObjectSchedule& sch = schedules_[i];
-    const std::vector<uint8_t>& flags = directed[i];
-    for (size_t s = 0; s < sch.conflict_pairs.size(); ++s) {
-      const uint64_t a = sch.conflict_pairs[s].first.value;
-      const uint64_t b = sch.conflict_pairs[s].second.value;
-      if (flags[s]) {
-        // Inheritance that stopped because callers commute (the paper's
-        // "the dependency can be neglected at the higher level").
-        uint64_t t = parent_of[a], u = parent_of[b];
-        if (t == ActionId::kInvalid || u == ActionId::kInvalid || t == u) {
-          continue;
-        }
-        if (object_of[t] == object_of[u] &&
-            index.Commute(ActionId(t), ActionId(u))) {
-          ++stopped[i];
-        }
-        continue;
-      }
-      // Conflicting cross-transaction pairs that never acquired a
-      // direction (both actions executed, but their subtrees share no
-      // object).
-      if (top_of[a] == top_of[b]) continue;
-      if (ran[a] && ran[b]) ++unordered[i];
-    }
-  });
-  for (size_t i = 0; i < num_objects; ++i) {
-    stats_.unordered_conflicts += unordered[i];
-    stats_.stopped_inheritance += stopped[i];
-  }
-  ObserveStage(metrics, &sw, "dep.stage.derived_stats_ns");
-  if (metrics != nullptr) {
-    // Memo efficiency of the conflict index: hits were served from the
-    // class matrix, misses reached the commutativity spec.
-    metrics->GetCounter("dep.memo.hits")->Increment(index.memo_hits());
-    metrics->GetCounter("dep.memo.misses")->Increment(index.spec_calls());
-  }
 }
 
 }  // namespace oodb

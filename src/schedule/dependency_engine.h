@@ -17,17 +17,9 @@
 // Steps 2-3 iterate to a fixpoint (call trees are finite; edges only
 // grow).
 //
-// Two engines implement this contract:
-//   * kReference — the original formulation: all-pairs Commute calls
-//     per object and full rescans of every conflict pair and every
-//     transaction dependency per fixpoint round. Kept as the executable
-//     specification.
-//   * kIndexed — the production path: conflict pairs come from the
-//     memoized ConflictIndex, the fixpoint is delta-driven (only edges
-//     added in the previous round are reexamined, and the conflict
-//     membership of a reexamined edge is answered by the memo), and the
-//     per-object stages fan out over a thread pool. Produces identical
-//     schedules and statistics.
+// The engine is the paper's formulation executed directly: all-pairs
+// Commute calls per object, then full rescans of every conflict pair and
+// every transaction dependency per fixpoint round.
 //
 // Precondition: the system must already be extended per Def 5
 // (SystemExtender); the engine refuses otherwise, because mixed
@@ -38,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -50,7 +41,6 @@
 namespace oodb {
 
 class MetricsRegistry;
-class ThreadPool;
 
 /// Aggregate statistics of one dependency computation. These are the
 /// quantities behind the paper's Fig 4 discussion: how many conflicting
@@ -74,28 +64,16 @@ struct DependencyStats {
   void PublishTo(MetricsRegistry* registry) const;
 };
 
-/// Selects and configures the engine implementation.
+/// Configures the engine's observability.
 struct DependencyOptions {
-  enum class Mode {
-    kReference,  ///< original all-pairs / full-rescan engine
-    kIndexed,    ///< memoized conflict index + worklist fixpoint
-  };
-  Mode mode = Mode::kReference;
-  /// Worker threads for the kIndexed per-object stages: 0 = hardware
-  /// concurrency, 1 = run every stage inline (no pool). Ignored by
-  /// kReference.
-  size_t num_threads = 1;
   /// When set, Compute() records per-stage wall timings into the
-  /// dep.stage.*_ns histograms, worklist progress into the
-  /// dep.worklist.waves / dep.worklist.frontier_edges counters, the
-  /// conflict-index memo efficiency into dep.memo.hits / dep.memo.misses
-  /// (kIndexed only), and publishes the final DependencyStats as dep.*
-  /// gauges.
+  /// dep.stage.*_ns histograms and publishes the final DependencyStats
+  /// as dep.* gauges.
   MetricsRegistry* metrics = nullptr;
   /// Record the derivation of every edge (schedule/provenance.h) so a
   /// failed verdict can be expanded to its primitive conflicts. Off by
-  /// default; when off, both engines pay one predictable null test per
-  /// derived edge and allocate nothing.
+  /// default; when off, the engine pays one predictable null test per
+  /// derived edge and allocates nothing.
   bool record_provenance = false;
 };
 
@@ -142,21 +120,13 @@ class DependencyEngine {
   }
 
  private:
-  // --- reference engine ---------------------------------------------
   void ComputeConflictPairs();
   void SeedAxiom1();
   bool PropagateOnce();
 
-  // --- indexed engine -----------------------------------------------
-  void ComputeIndexed(ThreadPool* pool);
-
-  /// Post-fixpoint derived counters (unordered_conflicts and
-  /// stopped_inheritance) for the reference engine, probing the action
-  /// relation per pair. The indexed engine computes the same counters
-  /// from its directed-pair flags instead (see ComputeIndexed).
-  void FinalizeDerivedStats(
-      const std::function<bool(ActionId, ActionId)>& commute,
-      ThreadPool* pool);
+  /// Post-fixpoint derived counters: unordered_conflicts and
+  /// stopped_inheritance, probing the action relation per pair.
+  void FinalizeDerivedStats();
 
   const TransactionSystem& ts_;
   DependencyOptions options_;

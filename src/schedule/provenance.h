@@ -20,11 +20,9 @@
 // every Def 5 virtual-object hop along the way. That chain is what
 // turns a bare "cycle of transaction ids" verdict into an explanation.
 //
-// The store is sharded by object: every engine phase that records
-// writes only its own object's shard (cross-object Def 11/15 placement
-// happens in the engines' serial merge phases), so recording needs no
-// locks even under the pooled indexed engine. With recording off the
-// hot path pays one null-pointer test per derived edge.
+// The store is sharded by object: each record lives in the shard of the
+// object whose relation holds the edge. With recording off the hot path
+// pays one null-pointer test per derived edge.
 
 #pragma once
 

@@ -1,16 +1,16 @@
 #include "schedule/validator.h"
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <map>
-#include <memory>
 #include <sstream>
-#include <thread>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "model/extension.h"
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace oodb {
 
@@ -141,9 +141,9 @@ void CheckConformance(const TransactionSystem& ts, ValidationReport* report) {
   }
 }
 
-/// Linear-time Def 7 screen used by the pooled path. MustPrecede pairs
-/// are exactly the primitive pairs whose branches at some common action
-/// set are connected by the precedence relation, so conformance holds
+/// Linear-time Def 7 screen. MustPrecede pairs are exactly the
+/// primitive pairs whose branches at some common action set are
+/// connected by the precedence relation, so conformance holds
 /// iff no precedence chain c1 ->* c2 has a primitive under c1 executing
 /// after a primitive under c2. Aggregating each subtree's executed
 /// timestamps reduces that to one min/max comparison per reachable
@@ -229,18 +229,6 @@ ValidationReport Validator::Validate(TransactionSystem* ts,
   DependencyOptions dep_options;
   dep_options.metrics = options.metrics;
   dep_options.record_provenance = options.record_provenance;
-  if (options.num_threads != 1) {
-    dep_options.mode = DependencyOptions::Mode::kIndexed;
-    dep_options.num_threads = options.num_threads;
-  }
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads != 1) {
-    size_t threads = options.num_threads == 0
-                         ? std::max<size_t>(
-                               1, std::thread::hardware_concurrency())
-                         : options.num_threads;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  }
 
   DependencyEngine engine(*ts, dep_options);
   Status st = engine.Compute();
@@ -251,105 +239,60 @@ ValidationReport Validator::Validate(TransactionSystem* ts,
   }
   report.stats = engine.stats();
 
-  // Per-object Def 13 and Def 16(ii). Objects are independent; with a
-  // pool the checks fan out, and the per-object diagnostics and
-  // witnesses are merged in object order so the report stays
+  // Per-object Def 13 and Def 16(ii), in object order so the report is
   // deterministic. Failed verdicts render the BFS *shortest* cycle —
   // the minimal explanation, and byte-stable unlike whichever back edge
-  // a DFS happens to close first.
-  const std::vector<ObjectSchedule>& schedules = engine.schedules();
+  // a DFS happens to close first. Those searches run only on rejection:
+  // the combined Def 16(ii) traversal (HasCycleWith, no graph copy)
+  // also answers Def 13(ii) when acyclic, so an accepted object costs a
+  // single traversal of its action relation.
   const ProvenanceStore* prov = engine.provenance();
-  std::vector<std::vector<std::string>> object_diags(schedules.size());
-  std::vector<std::vector<Witness>> object_wits(schedules.size());
-  std::vector<uint64_t> object_extract_ns(schedules.size(), 0);
-  std::vector<uint8_t> object_ok(schedules.size(), 1);
-  auto check_txn_deps = [&](size_t i) {
-    const ObjectSchedule& sch = schedules[i];
-    if (!sch.txn_deps.HasCycle()) return;
-    Stopwatch sw;
-    auto cycle = sch.txn_deps.FindShortestCycle();
-    object_ok[i] = 0;
-    object_diags[i].push_back(
-        "object " + ts->object(sch.object).name +
-        ": transaction dependency cycle (Def 13 i): " +
-        RenderCycle(*ts, *cycle));
-    object_wits[i].push_back(MakeCycleWitness(
-        Witness::Kind::kTxnCycle, sch.object, *cycle,
-        [&](ActionId, ActionId) {
-          return std::make_pair(DepRelation::kTxn, sch.object);
+  bool all_ok = true;
+  uint64_t extract_ns = 0;
+  // Records one failed verdict. An added-dependency cycle mixes both
+  // relations, so each of its edges is classified separately.
+  auto reject = [&](Witness::Kind kind, DepRelation relation,
+                    const ObjectSchedule& sch, const char* what,
+                    const std::vector<Digraph::NodeId>& cycle) {
+    all_ok = false;
+    report.diagnostics.push_back("object " + ts->object(sch.object).name +
+                                 ": " + what + ": " +
+                                 RenderCycle(*ts, cycle));
+    report.witnesses.push_back(MakeCycleWitness(
+        kind, sch.object, cycle,
+        [&](ActionId from, ActionId to) {
+          if (kind == Witness::Kind::kAddedCycle &&
+              !sch.action_deps.HasEdge(from.value, to.value)) {
+            return std::make_pair(DepRelation::kAdded, sch.object);
+          }
+          return std::make_pair(relation, sch.object);
         },
         prov));
-    object_extract_ns[i] += sw.ElapsedNanos();
   };
-  auto check_action_deps = [&](size_t i) {
-    const ObjectSchedule& sch = schedules[i];
-    Stopwatch sw;
-    if (auto cycle = sch.action_deps.FindShortestCycle()) {
-      object_ok[i] = 0;
-      object_diags[i].push_back(
-          "object " + ts->object(sch.object).name +
-          ": contradicting action dependencies (Def 13 ii): " +
-          RenderCycle(*ts, *cycle));
-      object_wits[i].push_back(MakeCycleWitness(
-          Witness::Kind::kActionCycle, sch.object, *cycle,
-          [&](ActionId, ActionId) {
-            return std::make_pair(DepRelation::kAction, sch.object);
-          },
-          prov));
+  for (const ObjectSchedule& sch : engine.schedules()) {
+    if (sch.txn_deps.HasCycle()) {
+      Stopwatch sw;
+      reject(Witness::Kind::kTxnCycle, DepRelation::kTxn, sch,
+             "transaction dependency cycle (Def 13 i)",
+             *sch.txn_deps.FindShortestCycle());
+      extract_ns += sw.ElapsedNanos();
     }
-    if (sch.added_deps.EdgeCount() != 0 &&
-        sch.action_deps.HasCycleWith(sch.added_deps)) {
-      object_ok[i] = 0;
-      auto cycle = sch.action_deps.FindShortestCycleWith(sch.added_deps);
-      object_diags[i].push_back(
-          "object " + ts->object(sch.object).name +
-          ": added-dependency contradiction (Def 16 ii): " +
-          RenderCycle(*ts, *cycle));
-      object_wits[i].push_back(MakeCycleWitness(
-          Witness::Kind::kAddedCycle, sch.object, *cycle,
-          [&](ActionId from, ActionId to) {
-            DepRelation rel =
-                sch.action_deps.HasEdge(from.value, to.value)
-                    ? DepRelation::kAction
-                    : DepRelation::kAdded;
-            return std::make_pair(rel, sch.object);
-          },
-          prov));
-    }
-    object_extract_ns[i] += sw.ElapsedNanos();
-  };
-  auto check_object = [&](size_t i) {
-    check_txn_deps(i);
-    check_action_deps(i);
-  };
-  // Same verdicts along a cheaper route for the pooled path: the
-  // combined Def 16(ii) traversal (HasCycleWith, no graph copy) also
-  // answers Def 13(ii) when acyclic, so the accepting case — the common
-  // one — costs a single traversal of the big action relation. The
-  // witness-producing shortest-cycle searches only run on rejection.
-  auto check_object_fast = [&](size_t i) {
-    const ObjectSchedule& sch = schedules[i];
-    check_txn_deps(i);
     bool combined_cyclic =
         sch.added_deps.EdgeCount() == 0
             ? sch.action_deps.HasCycle()
             : sch.action_deps.HasCycleWith(sch.added_deps);
-    if (combined_cyclic) check_action_deps(i);
-  };
-  if (pool) {
-    pool->ParallelFor(schedules.size(), check_object_fast);
-  } else {
-    for (size_t i = 0; i < schedules.size(); ++i) check_object(i);
-  }
-  bool all_ok = true;
-  for (size_t i = 0; i < schedules.size(); ++i) {
-    if (!object_ok[i]) all_ok = false;
-    for (std::string& d : object_diags[i]) {
-      report.diagnostics.push_back(std::move(d));
+    if (!combined_cyclic) continue;
+    Stopwatch sw;
+    if (auto cycle = sch.action_deps.FindShortestCycle()) {
+      reject(Witness::Kind::kActionCycle, DepRelation::kAction, sch,
+             "contradicting action dependencies (Def 13 ii)", *cycle);
     }
-    for (Witness& w : object_wits[i]) {
-      report.witnesses.push_back(std::move(w));
+    if (sch.added_deps.EdgeCount() != 0) {
+      reject(Witness::Kind::kAddedCycle, DepRelation::kAction, sch,
+             "added-dependency contradiction (Def 16 ii)",
+             *sch.action_deps.FindShortestCycleWith(sch.added_deps));
     }
+    extract_ns += sw.ElapsedNanos();
   }
   report.oo_serializable = all_ok;
 
@@ -394,11 +337,11 @@ ValidationReport Validator::Validate(TransactionSystem* ts,
   if (options.check_conformance) {
     // The screen is exact for the verdict, so the quadratic per-pair
     // scan only runs when there are diagnostics to produce.
-    if (!pool || !ConformanceHolds(*ts)) CheckConformance(*ts, &report);
+    if (!ConformanceHolds(*ts)) CheckConformance(*ts, &report);
   }
 
   if (options.check_conventional) {
-    report.conventional = ConventionalChecker::Check(*ts, options.num_threads);
+    report.conventional = ConventionalChecker::Check(*ts);
     report.conventionally_serializable = report.conventional.serializable;
   }
 
@@ -435,9 +378,7 @@ ValidationReport Validator::Validate(TransactionSystem* ts,
     m->SetGauge("explain.provenance_edges",
                 prov != nullptr ? static_cast<int64_t>(prov->EdgeCount())
                                 : 0);
-    uint64_t extract_total = 0;
-    for (uint64_t ns : object_extract_ns) extract_total += ns;
-    m->GetHistogram("explain.extract_ns")->Observe(extract_total);
+    m->GetHistogram("explain.extract_ns")->Observe(extract_ns);
   }
 
   if (options.record_provenance) {

@@ -38,18 +38,11 @@ struct ValidationOptions {
   /// three or more objects); see EXPERIMENTS.md for the discussion.
   bool check_global = false;
 
-  /// Worker threads for the analysis pipeline. 1 (the default) runs the
-  /// original serial reference engine unchanged. Any other value
-  /// selects the indexed engine — memoized conflict pairs, worklist
-  /// fixpoint, per-object stages fanned out over that many threads
-  /// (0 = hardware concurrency) — which produces identical reports.
-  size_t num_threads = 1;
-
   /// When set, the run publishes into the registry: the engine's dep.*
-  /// family (stage timings, worklist, memo, final stats), the ext.*
-  /// extension gauges, the validate.* verdict gauges (1 = holds), and
-  /// the explain.* witness family (witness count and lengths,
-  /// provenance edges, extraction time).
+  /// family (stage timings, final stats), the ext.* extension gauges,
+  /// the validate.* verdict gauges (1 = holds), and the explain.*
+  /// witness family (witness count and lengths, provenance edges,
+  /// extraction time).
   MetricsRegistry* metrics = nullptr;
   /// When set, the Def 5 extension records its "extension.split"
   /// instants here.

@@ -7,9 +7,8 @@
 // their primitive conflicts, the Def 6/15 relations, the Def 16 union)
 // as text, Graphviz DOT, or JSON.
 //
-// Validation always runs the serial reference engine (num_threads = 1):
-// the explanation is byte-deterministic, which is what the golden tests
-// and the CI explain gate diff against.
+// The validator is deterministic, so the explanation is byte-stable:
+// that is what the golden tests and the CI explain gate diff against.
 //
 // Examples:
 //   oodb explain                                   # Fig 7, text
@@ -143,7 +142,6 @@ int ExplainMain(int argc, char** argv) {
 
   ValidationOptions voptions;
   voptions.record_provenance = true;
-  voptions.num_threads = 1;  // serial reference engine: deterministic
   voptions.check_global = include_global;
   voptions.metrics = &registry;
   ValidationReport report = Validator::Validate(ts, voptions);

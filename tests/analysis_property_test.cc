@@ -1,8 +1,8 @@
-// Property tests for the linter, plus the memoization regression the
-// honesty pass exists to prevent: a spec that truthfully declares
-// kNone (state-dependent, escrow-style) must never be served from the
-// conflict-index memo, while a mis-declared state-dependent spec that
-// claims a memoizable class must be caught by the honesty pass.
+// Property tests for the linter, plus the regression the honesty pass
+// exists to prevent: the verdict on a spec that truthfully declares
+// kNone (state-dependent, escrow-style) must follow the object state
+// at validation time, while a mis-declared state-dependent spec that
+// claims a cacheable class must be caught by the honesty pass.
 
 #include <memory>
 #include <string>
@@ -14,7 +14,7 @@
 #include "analysis/memo_honesty.h"
 #include "cc/database.h"
 #include "model/transaction_system.h"
-#include "schedule/conflict_index.h"
+#include "schedule/validator.h"
 #include "util/random.h"
 
 namespace oodb {
@@ -133,67 +133,34 @@ std::unique_ptr<PredicateCommutativity> EscrowStyleSpec(
   return spec;
 }
 
-TEST(ConflictIndexRegression, CorrectlyDeclaredEscrowSpecNeverMemoizes) {
+TEST(StateDependentSpecRegression, VerdictFollowsStateAtValidation) {
   int64_t balance = 500;
   ObjectType type("EscrowLike", EscrowStyleSpec(&balance),
                   /*primitive=*/true);
   ASSERT_EQ(type.commutativity().memo(), CommutativityMemo::kNone);
 
-  TransactionSystem ts;
-  const ObjectId obj = ts.AddObject(&type, "acct");
-  std::vector<ActionId> actions;
-  for (int i = 0; i < 4; ++i) {
-    const ActionId top = ts.BeginTopLevel("T" + std::to_string(i));
-    actions.push_back(ts.Call(
-        top, obj,
-        Invocation(i % 2 == 0 ? "deposit" : "withdraw", {Value(10)})));
-  }
-
-  ConflictIndex index(ts);
-  index.BuildForObject(obj);
-  EXPECT_EQ(index.memo_hits(), 0u);
-
-  // Every repeated query must go back to the spec: the answers move
-  // with the balance, so yesterday's answer may be wrong today.
-  const size_t calls_after_build = index.spec_calls();
-  EXPECT_TRUE(index.Commute(actions[1], actions[2]));
-  balance = 0;  // drains: mutator pairs stop commuting
-  EXPECT_FALSE(index.Commute(actions[1], actions[2]));
-  EXPECT_TRUE(index.Commute(actions[0], actions[2]));  // deposit pair
-  EXPECT_EQ(index.memo_hits(), 0u);
-  EXPECT_GT(index.spec_calls(), calls_after_build);
-}
-
-TEST(ConflictIndexRegression, MethodPairSpecDoesMemoize) {
-  // The contrast case: an honest kMethodPair matrix is decided once per
-  // class pair at build time and served from the memo afterwards.
-  auto spec = std::make_unique<MatrixCommutativity>();
-  spec->SetCommutes("r", "r");
-  ObjectType type("Memoizable", std::move(spec), /*primitive=*/true);
-
-  TransactionSystem ts;
-  const ObjectId obj = ts.AddObject(&type, "o");
-  const ObjectId obj2 = ts.AddObject(&type, "o2");
-  std::vector<ActionId> actions;
-  for (int i = 0; i < 4; ++i) {
-    const ActionId top = ts.BeginTopLevel("T" + std::to_string(i));
-    actions.push_back(
-        ts.Call(top, obj, Invocation(i % 2 == 0 ? "r" : "w")));
-    ts.Call(top, obj2, Invocation(i % 2 == 0 ? "r" : "w"));
-  }
-
-  ConflictIndex index(ts);
-  index.BuildForObject(obj);
-  const size_t calls_after_build = index.spec_calls();
-  // The second object of the type reuses every class-pair decision
-  // from the shared per-type cache: memo hits, no new spec calls.
-  index.BuildForObject(obj2);
-  EXPECT_GT(index.memo_hits(), 0u);
-  EXPECT_EQ(index.spec_calls(), calls_after_build);
-  // Queries on a memoized object are served from the class matrix.
-  EXPECT_TRUE(index.Commute(actions[0], actions[2]));
-  EXPECT_FALSE(index.Commute(actions[0], actions[1]));
-  EXPECT_EQ(index.spec_calls(), calls_after_build);
+  // Four single-action transactions, deposits and withdrawals in turn.
+  auto validate = [&type] {
+    TransactionSystem ts;
+    const ObjectId obj = ts.AddObject(&type, "acct");
+    for (int i = 0; i < 4; ++i) {
+      const ActionId top = ts.BeginTopLevel("T" + std::to_string(i));
+      const ActionId a = ts.Call(
+          top, obj,
+          Invocation(i % 2 == 0 ? "deposit" : "withdraw", {Value(10)}));
+      ts.SetTimestamp(a, ts.NextTimestamp());
+    }
+    return Validator::Validate(&ts).stats.primitive_conflicts;
+  };
+  // A comfortable balance: every pair commutes.
+  EXPECT_EQ(validate(), 0u);
+  // Drained: in the same history, 5 of the 6 pairs now conflict; only
+  // the two deposits still commute.
+  balance = 0;
+  EXPECT_EQ(validate(), 5u);
+  // Refilled: the answers move back.
+  balance = 500;
+  EXPECT_EQ(validate(), 0u);
 }
 
 }  // namespace

@@ -51,12 +51,11 @@ void ExpectMatchesGolden(const std::string& actual, const std::string& name) {
   EXPECT_EQ(buf.str(), actual) << name;
 }
 
-/// Provenance-recording serial validation — the deterministic pipeline
-/// `oodb explain` runs, so these goldens also pin the CLI's output.
+/// Provenance-recording validation — the pipeline `oodb explain` runs,
+/// so these goldens also pin the CLI's output.
 ValidationReport Validate(TransactionSystem* ts) {
   ValidationOptions options;
   options.record_provenance = true;
-  options.num_threads = 1;
   return Validator::Validate(ts, options);
 }
 

@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/histogram.h"
-#include "util/thread_pool.h"
 
 namespace oodb {
 namespace {
@@ -108,16 +108,16 @@ TEST(MetricsRegistryTest, JsonSnapshotDeterministic) {
   EXPECT_EQ(build(), build());
 }
 
-// The TSan target: many thread-pool workers hammering one registry —
-// lazy creation races, counter/gauge/histogram writes, and concurrent
-// snapshot reads all at once.
-TEST(MetricsRegistryTest, ConcurrentHammerFromThreadPool) {
+// The TSan target: many threads hammering one registry — lazy creation
+// races, counter/gauge/histogram writes, and concurrent snapshot reads
+// all at once.
+TEST(MetricsRegistryTest, ConcurrentHammerFromThreads) {
   MetricsRegistry registry;
   constexpr int kWorkers = 8;
   constexpr int kPerWorker = 5000;
-  ThreadPool pool(kWorkers);
+  std::vector<std::thread> workers;
   for (int w = 0; w < kWorkers; ++w) {
-    pool.Submit([&registry, w] {
+    workers.emplace_back([&registry, w] {
       // Every worker creates-or-gets the same names: first-use races.
       Counter* hits = registry.GetCounter("hammer.hits");
       HistogramMetric* lat = registry.GetHistogram("hammer.lat");
@@ -133,7 +133,7 @@ TEST(MetricsRegistryTest, ConcurrentHammerFromThreadPool) {
       }
     });
   }
-  pool.Wait();
+  for (std::thread& t : workers) t.join();
   EXPECT_EQ(registry.GetCounter("hammer.hits")->Value(),
             uint64_t(kWorkers) * kPerWorker);
   HistogramSnapshot snap = registry.GetHistogram("hammer.lat")->Snapshot();

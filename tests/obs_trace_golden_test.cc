@@ -117,9 +117,8 @@ TEST(GoldenTraceTest, SpanTreeMatchesActionNesting) {
 }
 
 TEST(GoldenTraceTest, MetricsSnapshotCoversRuntimeAndEngine) {
-  // The registry side of the same instrumented run: runtime counters,
-  // validator stats, and (with the indexed engine) memo counters all
-  // land in one snapshot.
+  // The registry side of the same instrumented run: runtime counters
+  // and validator stats land in one snapshot.
   MetricsRegistry registry;
   Database db;
   db.AttachObservability(&registry, nullptr);
@@ -132,7 +131,6 @@ TEST(GoldenTraceTest, MetricsSnapshotCoversRuntimeAndEngine) {
 
   ValidationOptions options;
   options.metrics = &registry;
-  options.num_threads = 2;  // indexed engine -> memo counters
   ValidationReport report = Validator::Validate(&db.ts(), options);
   ASSERT_TRUE(report.oo_serializable);
 
@@ -140,7 +138,6 @@ TEST(GoldenTraceTest, MetricsSnapshotCoversRuntimeAndEngine) {
   EXPECT_NE(json.find("db.lock.acquires"), std::string::npos);
   EXPECT_NE(json.find("db.txn.committed"), std::string::npos);
   EXPECT_NE(json.find("run.committed"), std::string::npos);
-  EXPECT_NE(json.find("dep.memo.hits"), std::string::npos);
   EXPECT_NE(json.find("dep.stage.fixpoint_ns"), std::string::npos);
   EXPECT_NE(json.find("validate.oo_serializable"), std::string::npos);
   EXPECT_EQ(registry.GetGauge("validate.oo_serializable")->Value(), 1);

@@ -8,9 +8,6 @@
 //     derivation chain ending in an Axiom 1 primitive conflict, each
 //     step induced by the next (Def 10 up the call trees, Def 11/15
 //     across objects);
-//   * the indexed engine's provenance is equally valid (its cause
-//     pairs may differ from the reference engine's — both engines
-//     derive the same edges from different enumeration orders);
 //   * reports are byte-stable across repeated runs.
 
 #include <gtest/gtest.h>
@@ -24,12 +21,10 @@
 namespace oodb {
 namespace {
 
-ValidationReport RunAnomaly(AnomalyKind kind, bool bad, bool provenance,
-                     size_t threads = 1) {
+ValidationReport RunAnomaly(AnomalyKind kind, bool bad, bool provenance) {
   std::unique_ptr<TransactionSystem> ts = MakeAnomaly(kind, bad);
   ValidationOptions options;
   options.record_provenance = provenance;
-  options.num_threads = threads;
   return Validator::Validate(ts.get(), options);
 }
 
@@ -127,41 +122,6 @@ TEST(ProvenanceTest, ChainsExpandToAxiom1) {
         ExpectChainWellFormed(*ts, e);
       }
     }
-  }
-}
-
-TEST(ProvenanceTest, IndexedEngineProvenanceIsValid) {
-  for (size_t threads : {size_t{2}, size_t{4}}) {
-    std::unique_ptr<TransactionSystem> ts =
-        MakeAnomaly(AnomalyKind::kWriteSkew, /*bad=*/true);
-    ValidationOptions options;
-    options.record_provenance = true;
-    options.num_threads = threads;
-    ValidationReport report = Validator::Validate(ts.get(), options);
-    EXPECT_FALSE(report.oo_serializable);
-    ASSERT_NE(report.provenance, nullptr);
-    EXPECT_GT(report.provenance->EdgeCount(), 0u);
-    ASSERT_FALSE(report.witnesses.empty());
-    for (const Witness& w : report.witnesses) {
-      if (w.kind == Witness::Kind::kConformance) continue;
-      for (const Witness::Edge& e : w.edges) {
-        ExpectChainWellFormed(*ts, e);
-      }
-    }
-  }
-}
-
-TEST(ProvenanceTest, IndexedOffLeavesReportIdenticalToSerial) {
-  ValidationReport serial = RunAnomaly(AnomalyKind::kPhantom, true, false, 1);
-  ValidationReport indexed = RunAnomaly(AnomalyKind::kPhantom, true, false, 4);
-  EXPECT_EQ(indexed.provenance, nullptr);
-  EXPECT_TRUE(indexed.schedules.empty());
-  EXPECT_EQ(serial.oo_serializable, indexed.oo_serializable);
-  EXPECT_EQ(serial.diagnostics, indexed.diagnostics);
-  ASSERT_EQ(serial.witnesses.size(), indexed.witnesses.size());
-  for (size_t i = 0; i < serial.witnesses.size(); ++i) {
-    EXPECT_EQ(serial.witnesses[i].kind, indexed.witnesses[i].kind);
-    EXPECT_EQ(serial.witnesses[i].cycle, indexed.witnesses[i].cycle);
   }
 }
 
