@@ -49,7 +49,6 @@ AnalysisReport AnalyzeSchema(const std::string& schema_name,
       }
     };
     Take(CheckSpecSoundness(corpus));
-    Take(CheckMemoHonesty(corpus, options.honesty));
     Take(CheckUndoCompleteness(corpus));
     if (options.inference) {
       const InferredMatrix matrix =

@@ -17,14 +17,12 @@
 #include "analysis/call_graph.h"
 #include "analysis/diagnostics.h"
 #include "analysis/lock_conformance.h"
-#include "analysis/memo_honesty.h"
 #include "analysis/spec_synthesis.h"
 #include "cc/database.h"
 
 namespace oodb::analysis {
 
 struct AnalyzerOptions {
-  HonestyOptions honesty;
   /// Per-type reference specs for the lock-conformance pass, keyed by
   /// type name (tests seed divergence here; empty in production).
   std::map<std::string, const CommutativitySpec*> lock_references;

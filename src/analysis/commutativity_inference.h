@@ -13,9 +13,7 @@
 //      bodies in both orders from every declared state class and
 //      compare per-invocation return values, status codes, and the
 //      final abstract-state fingerprint — Def 9's "effect and results
-//      independent of execution order", decided experimentally. This
-//      generalizes the memo-honesty prober from spot-checking declared
-//      answers to constructing the full matrix.
+//      independent of execution order", decided experimentally.
 //   2. Return-value / argument classification: the per-pair outcomes
 //      are fitted to closed predicate shapes (always, never, parameter
 //      i differs, parameter i equal, differs-or-identical), so keyed

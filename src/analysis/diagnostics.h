@@ -16,7 +16,7 @@ namespace oodb::analysis {
 enum class Severity {
   kNote,     ///< informational; never gates
   kWarning,  ///< likely defect or lost concurrency; gates
-  kError,    ///< soundness violation (asymmetry, lying memo class, ...)
+  kError,    ///< soundness violation (asymmetry, unsound entry, ...)
 };
 
 /// Stable lowercase name ("note", "warning", "error").
@@ -25,7 +25,7 @@ const char* SeverityName(Severity severity);
 /// One finding, anchored to a type and (up to) a method pair.
 struct Diagnostic {
   Severity severity = Severity::kNote;
-  std::string pass;       ///< "spec-soundness", "memo-honesty", ...
+  std::string pass;       ///< "spec-soundness", "undo-completeness", ...
   std::string type_name;  ///< the audited object type
   std::string method_a;   ///< first method of the pair ("" if n/a)
   std::string method_b;   ///< second method of the pair ("" if n/a)

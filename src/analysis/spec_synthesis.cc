@@ -38,15 +38,7 @@ std::string Identifier(const std::string& name) {
 }  // namespace
 
 SynthesizedSpec::SynthesizedSpec(InferredMatrix matrix)
-    : matrix_(std::move(matrix)), memo_(CommutativityMemo::kInvocationPair) {
-  for (const MethodPairEntry& e : matrix_.entries) {
-    if (e.kind == EntryKind::kDelegate && matrix_.type != nullptr &&
-        matrix_.type->commutativity().memo() == CommutativityMemo::kNone) {
-      memo_ = CommutativityMemo::kNone;
-      break;
-    }
-  }
-}
+    : matrix_(std::move(matrix)) {}
 
 bool SynthesizedSpec::Commutes(const Invocation& a,
                                const Invocation& b) const {

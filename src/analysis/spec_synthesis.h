@@ -33,16 +33,10 @@ class SynthesizedSpec : public CommutativitySpec {
 
   bool Commutes(const Invocation& a, const Invocation& b) const override;
 
-  /// Shape and evidence-table answers are pure in the invocation pair.
-  /// A delegate entry inherits the hand spec's honesty: if that spec
-  /// declares kNone (state-dependent), so must we.
-  CommutativityMemo memo() const override { return memo_; }
-
   const InferredMatrix& matrix() const { return matrix_; }
 
  private:
   InferredMatrix matrix_;
-  CommutativityMemo memo_;
 };
 
 /// Aggregated inference counters, published as infer.* metrics by

@@ -84,11 +84,6 @@ class BankCommutativity : public CommutativitySpec {
     return true;
   }
 
-  // Purely footprint-driven (method + parameters), no state.
-  CommutativityMemo memo() const override {
-    return CommutativityMemo::kInvocationPair;
-  }
-
  private:
   BankSemantics semantics_;
 };

@@ -42,16 +42,6 @@ bool SchedulerKindFromName(const std::string& name, SchedulerKind* out) {
   return false;
 }
 
-const char* HistoryModeName(HistoryMode mode) {
-  switch (mode) {
-    case HistoryMode::kRecorded:
-      return "recorded";
-    case HistoryMode::kEpochBatched:
-      return "epoch-batched";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Span outcome vocabulary: "ok" / "commit" plus kebab-case error

@@ -118,8 +118,6 @@ enum class HistoryMode {
   kEpochBatched,
 };
 
-const char* HistoryModeName(HistoryMode mode);
-
 struct DatabaseOptions {
   SchedulerKind scheduler = SchedulerKind::kOpenNested;
   LockManagerOptions lock_options;

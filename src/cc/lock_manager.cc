@@ -159,7 +159,6 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
         Blockers(shard, obj, type, inv, action, semantics, chain);
     if (blockers.empty()) break;
     if (!waited) {
-      waits_.fetch_add(1, std::memory_order_relaxed);
       shard.waits.fetch_add(1, std::memory_order_relaxed);
       ++shard.waits_per_object[obj.value];
       waited = true;
@@ -171,7 +170,6 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
       // blocks us. Intra-transaction waits are always allowed.
       for (uint64_t blocker : blockers) {
         if (blocker < top.value) {
-          deadlocks_.fetch_add(1, std::memory_order_relaxed);
           shard.deadlocks.fetch_add(1, std::memory_order_relaxed);
           if (m_deadlocks_) m_deadlocks_->Increment();
           EraseWaitEdges(top.value);
@@ -193,7 +191,6 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
       if (WouldDeadlock(top.value, blockers)) {
         waits_for_.erase(top.value);
         graph.unlock();
-        deadlocks_.fetch_add(1, std::memory_order_relaxed);
         shard.deadlocks.fetch_add(1, std::memory_order_relaxed);
         if (m_deadlocks_) m_deadlocks_->Increment();
         observe_wait();
@@ -210,7 +207,6 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
     --shard.waiters;
     shard.waiters_now.store(shard.waiters, std::memory_order_relaxed);
     if (cv == std::cv_status::timeout) {
-      deadlocks_.fetch_add(1, std::memory_order_relaxed);
       shard.deadlocks.fetch_add(1, std::memory_order_relaxed);
       if (m_deadlocks_) m_deadlocks_->Increment();
       EraseWaitEdges(top.value);
@@ -331,6 +327,22 @@ std::vector<LockShardStats> LockManager::PerShardStats() const {
     out[s].wait_ns = shard.wait_ns.load(std::memory_order_relaxed);
   }
   return out;
+}
+
+uint64_t LockManager::wait_count() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->waits.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+uint64_t LockManager::deadlock_count() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->deadlocks.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::vector<std::pair<ObjectId, uint64_t>> LockManager::HottestObjects(

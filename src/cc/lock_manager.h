@@ -197,15 +197,12 @@ class LockManager {
   /// synchronized against concurrent Acquire calls.
   void AttachMetrics(MetricsRegistry* registry);
 
-  /// Observability counters. Safe to read concurrently with running
-  /// transactions (the counters are atomic; writers update them under
-  /// the shard latches, monitors read them lock-free).
-  uint64_t wait_count() const {
-    return waits_.load(std::memory_order_relaxed);
-  }
-  uint64_t deadlock_count() const {
-    return deadlocks_.load(std::memory_order_relaxed);
-  }
+  /// Observability counters: sums of the per-stripe tallies. Safe to
+  /// read concurrently with running transactions (the stripe counters
+  /// are atomic; writers update them under the shard latches, monitors
+  /// read them lock-free).
+  uint64_t wait_count() const;
+  uint64_t deadlock_count() const;
 
   /// Per-object contention: (object, waits observed on it), sorted by
   /// waits descending, at most `top_n` rows. For hotspot reports.
@@ -309,9 +306,6 @@ class LockManager {
   /// may be held when taking graph_mu_, never the reverse.
   mutable std::mutex graph_mu_;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> waits_for_;
-
-  std::atomic<uint64_t> waits_{0};
-  std::atomic<uint64_t> deadlocks_{0};
 
   /// Cached registry metrics; all null when detached (the fast path
   /// then costs one predictable branch per event).

@@ -22,25 +22,6 @@
 
 namespace oodb {
 
-/// What a spec's Commutes answers depend on — and therefore how far a
-/// caller may cache them. The validator caches nothing; lint pass 2
-/// (analysis/memo_honesty.h) checks the declaration against the spec's
-/// behaviour. The spec declares this itself because only it knows its
-/// inputs; the safe default is kNone (never cache), which the escrow
-/// method requires: it "includes parameter values and the status of
-/// accessed objects in the commutativity definition", so yesterday's
-/// answer may be wrong today.
-enum class CommutativityMemo {
-  /// Answers may depend on object state or other external inputs:
-  /// every query must reach the spec.
-  kNone,
-  /// Answers depend only on the two method names.
-  kMethodPair,
-  /// Answers depend on method names and parameter values, but not on
-  /// state: one answer per unordered invocation pair.
-  kInvocationPair,
-};
-
 /// Decides whether two invocations on (distinct executions against) the
 /// same object commute. Implementations must be symmetric:
 /// Commutes(a, b) == Commutes(b, a). Thread-safe after construction.
@@ -57,10 +38,6 @@ class CommutativitySpec {
   bool Conflicts(const Invocation& a, const Invocation& b) const {
     return !Commutes(a, b);
   }
-
-  /// Declared caching granularity. Overrides must only widen this
-  /// when Commutes is a pure function of the declared inputs.
-  virtual CommutativityMemo memo() const { return CommutativityMemo::kNone; }
 };
 
 /// Everything conflicts with everything. The conservative default: using
@@ -71,9 +48,6 @@ class NeverCommutes : public CommutativitySpec {
   bool Commutes(const Invocation&, const Invocation&) const override {
     return false;
   }
-  CommutativityMemo memo() const override {
-    return CommutativityMemo::kMethodPair;
-  }
 };
 
 /// Everything commutes (for pure observers or append-only logs).
@@ -81,9 +55,6 @@ class AlwaysCommutes : public CommutativitySpec {
  public:
   bool Commutes(const Invocation&, const Invocation&) const override {
     return true;
-  }
-  CommutativityMemo memo() const override {
-    return CommutativityMemo::kMethodPair;
   }
 };
 
@@ -99,9 +70,6 @@ class ReadWriteCommutativity : public CommutativitySpec {
   bool Commutes(const Invocation& a, const Invocation& b) const override {
     return readers_.count(a.method) > 0 && readers_.count(b.method) > 0;
   }
-  CommutativityMemo memo() const override {
-    return CommutativityMemo::kMethodPair;
-  }
 
  private:
   std::set<std::string> readers_;
@@ -116,9 +84,6 @@ class MatrixCommutativity : public CommutativitySpec {
   void SetCommutes(const std::string& m1, const std::string& m2);
 
   bool Commutes(const Invocation& a, const Invocation& b) const override;
-  CommutativityMemo memo() const override {
-    return CommutativityMemo::kMethodPair;
-  }
 
  private:
   std::set<std::pair<std::string, std::string>> commuting_;
@@ -148,16 +113,6 @@ class PredicateCommutativity : public CommutativitySpec {
 
   bool Commutes(const Invocation& a, const Invocation& b) const override;
 
-  /// Predicates are assumed pure in the invocations (the convenience
-  /// predicates below are), so answers are cacheable per invocation pair.
-  /// A spec whose predicates consult object state (escrow-style) must
-  /// call DeclareStateDependent() to opt out of caching.
-  CommutativityMemo memo() const override {
-    return state_dependent_ ? CommutativityMemo::kNone
-                            : CommutativityMemo::kInvocationPair;
-  }
-  void DeclareStateDependent() { state_dependent_ = true; }
-
   /// Convenience predicate: commute iff parameter `index` differs.
   static Predicate DifferentParam(size_t index);
 
@@ -173,7 +128,6 @@ class PredicateCommutativity : public CommutativitySpec {
 
  private:
   std::map<std::pair<std::string, std::string>, Predicate> predicates_;
-  bool state_dependent_ = false;
 };
 
 }  // namespace oodb

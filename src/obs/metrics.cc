@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace oodb {
 
 namespace {
@@ -45,18 +47,20 @@ HistogramMetric::HistogramMetric() : buckets_(hist_layout::kBucketCount) {
 void HistogramMetric::Observe(uint64_t value) {
   buckets_[hist_layout::BucketFor(value)].fetch_add(
       1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
   AtomicMin(&min_, value);
   AtomicMax(&max_, value);
 }
 
 HistogramSnapshot HistogramMetric::Snapshot() const {
+  // The count is the bucket total of this very read, so a snapshot
+  // taken while Observe calls are in flight still has buckets summing
+  // exactly to its count (the sampler's series schema requires it).
   HistogramSnapshot snap;
   for (size_t i = 0; i < buckets_.size(); ++i) {
     snap.buckets_[i] = buckets_[i].load(std::memory_order_relaxed);
+    snap.count_ += snap.buckets_[i];
   }
-  snap.count_ = count_.load(std::memory_order_relaxed);
   snap.sum_ = sum_.load(std::memory_order_relaxed);
   snap.min_ = min_.load(std::memory_order_relaxed);
   snap.max_ = max_.load(std::memory_order_relaxed);
@@ -132,14 +136,15 @@ std::string MetricsRegistry::JsonSnapshot() const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, counter] : counters_) {
-    os << (first ? "" : ",") << "\n    \"" << name
+    os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
        << "\": " << counter->Value();
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
-    os << (first ? "" : ",") << "\n    \"" << name << "\": " << gauge->Value();
+    os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
+       << "\": " << gauge->Value();
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -158,7 +163,8 @@ std::string MetricsRegistry::JsonSnapshot() const {
                   static_cast<unsigned long long>(snap.Quantile(0.50)),
                   static_cast<unsigned long long>(snap.Quantile(0.95)),
                   static_cast<unsigned long long>(snap.Quantile(0.99)));
-    os << (first ? "" : ",") << "\n    \"" << name << "\": " << buf;
+    os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
+       << "\": " << buf;
     first = false;
   }
   os << (first ? "" : "\n  ") << "}\n}\n";

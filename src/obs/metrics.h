@@ -97,7 +97,6 @@ class HistogramMetric {
 
  private:
   std::vector<std::atomic<uint64_t>> buckets_;
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{UINT64_MAX};
   std::atomic<uint64_t> max_{0};

@@ -2,7 +2,7 @@
 // schema, or (with --series) a sampler time-series against the series
 // schema (both documented in docs/OBSERVABILITY.md). The CI gates
 // behind `oodb trace --format=jsonl | oodb check-trace -` and
-// `s11_throughput --series=F && oodb check-trace --series F`.
+// `oodb top --live --series-out=F && oodb check-trace --series F`.
 //
 // Exit codes: 0 = valid, 1 = schema violation, 2 = usage/IO error.
 

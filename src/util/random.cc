@@ -61,24 +61,6 @@ ZipfGenerator::ZipfGenerator(uint64_t n, double theta, uint64_t seed)
          (1.0 - zeta2 / zetan_);
 }
 
-HotSetGenerator::HotSetGenerator(uint64_t n, uint64_t hot_keys,
-                                 double hot_op_fraction, uint64_t seed)
-    : n_(n == 0 ? 1 : n),
-      hot_keys_(hot_keys == 0 ? 1 : hot_keys),
-      hot_op_fraction_(hot_op_fraction),
-      rng_(seed) {
-  if (hot_keys_ > n_) hot_keys_ = n_;
-  if (hot_op_fraction_ < 0.0) hot_op_fraction_ = 0.0;
-  if (hot_op_fraction_ > 1.0) hot_op_fraction_ = 1.0;
-}
-
-uint64_t HotSetGenerator::Next() {
-  if (hot_keys_ == n_ || rng_.NextBool(hot_op_fraction_)) {
-    return rng_.NextBelow(hot_keys_);
-  }
-  return hot_keys_ + rng_.NextBelow(n_ - hot_keys_);
-}
-
 uint64_t ZipfGenerator::Next() {
   double u = rng_.NextDouble();
   double uz = u * zetan_;

@@ -69,31 +69,4 @@ class ZipfGenerator {
   Rng rng_;
 };
 
-/// Hot-set key distribution over [0, n): with probability
-/// `hot_op_fraction` the key is uniform over the first `hot_keys` keys
-/// (the hot set), otherwise uniform over the remaining cold keys. The
-/// classic "90% of operations touch 10% of the data" shape, with the
-/// two knobs independent — unlike Zipf, the hot set has a hard edge,
-/// which is what a contention benchmark wants when it needs a known
-/// number of keys carrying a known share of the traffic.
-class HotSetGenerator {
- public:
-  /// `hot_keys` is clamped to [1, n]; `hot_op_fraction` to [0, 1].
-  HotSetGenerator(uint64_t n, uint64_t hot_keys, double hot_op_fraction,
-                  uint64_t seed = 42);
-
-  /// Next key in [0, n).
-  uint64_t Next();
-
-  uint64_t n() const { return n_; }
-  uint64_t hot_keys() const { return hot_keys_; }
-  double hot_op_fraction() const { return hot_op_fraction_; }
-
- private:
-  uint64_t n_;
-  uint64_t hot_keys_;
-  double hot_op_fraction_;
-  Rng rng_;
-};
-
 }  // namespace oodb

@@ -1,6 +1,6 @@
 // `oodb lint` pass tests: each seeded defect class — asymmetric spec,
-// mis-declared memo class, diverging lock table, schema rot in the call
-// graph — must be caught, and the shipped app schemas must audit clean
+// diverging lock table, schema rot in the call graph, naked mutator —
+// must be caught, and the shipped app schemas must audit clean
 // (errors and warnings gate; notes are properties, not defects).
 
 #include <memory>
@@ -13,7 +13,6 @@
 #include "analysis/call_graph.h"
 #include "analysis/corpus.h"
 #include "analysis/lock_conformance.h"
-#include "analysis/memo_honesty.h"
 #include "analysis/spec_soundness.h"
 #include "analysis/undo_completeness.h"
 #include "apps/bank.h"
@@ -29,11 +28,9 @@ using analysis::AnalyzeSchema;
 using analysis::AnalyzerOptions;
 using analysis::BuildTypeCorpus;
 using analysis::CheckLockConformance;
-using analysis::CheckMemoHonesty;
 using analysis::CheckSpecSoundness;
 using analysis::CheckUndoCompleteness;
 using analysis::Diagnostic;
-using analysis::HonestyOptions;
 using analysis::LockConformanceOptions;
 using analysis::Severity;
 using analysis::TypeCorpus;
@@ -110,86 +107,6 @@ TEST(SpecSoundness, SemanticGainOnPrimitiveIsOnlyANote) {
                             "beyond the conventional"));
   for (const Diagnostic& d : diags) {
     EXPECT_EQ(d.severity, Severity::kNote) << d.ToString();
-  }
-}
-
-// --- pass 2: memo honesty --------------------------------------------
-
-/// Consults hidden state but claims invocation-pair purity.
-class LyingStatefulSpec : public CommutativitySpec {
- public:
-  explicit LyingStatefulSpec(const bool* gate) : gate_(gate) {}
-  bool Commutes(const Invocation& a, const Invocation& b) const override {
-    if (a.method == "m" && b.method == "m") return *gate_;
-    return false;
-  }
-  CommutativityMemo memo() const override {
-    return CommutativityMemo::kInvocationPair;
-  }
-
- private:
-  const bool* gate_;
-};
-
-TEST(MemoHonesty, MisdeclaredStateDependentSpecIsCaught) {
-  bool gate = true;
-  ObjectType type("Liar", std::make_unique<LyingStatefulSpec>(&gate));
-  Database db;
-  db.Register(&type, "m", NoOp,
-              {.calls = {},
-               .samples = {{Value(1)}, {Value(2)}},
-               .compensations = {}});
-  const TypeCorpus corpus = BuildTypeCorpus(&type, db.registry());
-
-  // Without perturbations the lie is invisible (the state is quiet).
-  EXPECT_FALSE(HasDiagnostic(CheckMemoHonesty(corpus), Severity::kError,
-                             "memo-honesty", "changed"));
-
-  HonestyOptions options;
-  options.state_perturbations.push_back([&gate] { gate = !gate; });
-  EXPECT_TRUE(HasDiagnostic(CheckMemoHonesty(corpus, options),
-                            Severity::kError, "memo-honesty",
-                            "kInvocationPair"));
-}
-
-/// Parameter-sensitive (keyed) but claims method-pair granularity.
-class LyingKeyedSpec : public CommutativitySpec {
- public:
-  bool Commutes(const Invocation& a, const Invocation& b) const override {
-    if (a.method == "put" && b.method == "put") {
-      return !(a.params == b.params);
-    }
-    return false;
-  }
-  CommutativityMemo memo() const override {
-    return CommutativityMemo::kMethodPair;
-  }
-};
-
-TEST(MemoHonesty, ParameterDependentMethodPairSpecIsCaught) {
-  ObjectType type("KeyedLiar", std::make_unique<LyingKeyedSpec>());
-  Database db;
-  db.Register(&type, "put", NoOp,
-              {.calls = {},
-               .samples = {{Value("k1")}, {Value("k2")}},
-               .compensations = {}});
-  const TypeCorpus corpus = BuildTypeCorpus(&type, db.registry());
-  EXPECT_TRUE(HasDiagnostic(CheckMemoHonesty(corpus), Severity::kError,
-                            "memo-honesty", "kMethodPair"));
-}
-
-TEST(MemoHonesty, HonestSpecsPassWithPerturbations) {
-  Database db;
-  Bank::RegisterMethods(&db, BankSemantics::kEscrow);
-  HonestyOptions options;
-  int dummy = 0;
-  options.state_perturbations.push_back([&dummy] { ++dummy; });
-  for (const ObjectType* type : db.registry().Types()) {
-    const auto diags =
-        CheckMemoHonesty(BuildTypeCorpus(type, db.registry()), options);
-    for (const Diagnostic& d : diags) {
-      EXPECT_EQ(d.severity, Severity::kNote) << d.ToString();
-    }
   }
 }
 

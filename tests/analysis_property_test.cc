@@ -1,8 +1,7 @@
-// Property tests for the linter, plus the regression the honesty pass
-// exists to prevent: the verdict on a spec that truthfully declares
-// kNone (state-dependent, escrow-style) must follow the object state
-// at validation time, while a mis-declared state-dependent spec that
-// claims a cacheable class must be caught by the honesty pass.
+// Property tests for the linter's probe corpus, plus a validator
+// regression: the verdict on a state-dependent (escrow-style) spec must
+// follow the object state at validation time, because every Def 9
+// query reaches the spec.
 
 #include <memory>
 #include <string>
@@ -11,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/corpus.h"
-#include "analysis/memo_honesty.h"
 #include "cc/database.h"
 #include "model/transaction_system.h"
 #include "schedule/validator.h"
@@ -20,62 +18,7 @@
 namespace oodb {
 namespace {
 
-using analysis::BuildTypeCorpus;
-using analysis::CheckMemoHonesty;
-using analysis::HonestyOptions;
 using analysis::MutateParams;
-using analysis::Severity;
-
-Status NoOp(MethodContext&, const ValueList&, Value*) {
-  return Status::OK();
-}
-
-/// Answers depend on a hidden counter but the declaration claims
-/// parameter-level purity. Symmetric by construction (method lengths
-/// commute under +), so only the honesty pass can object.
-class HiddenCounterSpec : public CommutativitySpec {
- public:
-  explicit HiddenCounterSpec(const int* counter) : counter_(counter) {}
-  bool Commutes(const Invocation& a, const Invocation& b) const override {
-    return (*counter_ + a.method.size() + b.method.size()) % 2 == 0;
-  }
-  CommutativityMemo memo() const override {
-    return CommutativityMemo::kInvocationPair;
-  }
-
- private:
-  const int* counter_;
-};
-
-TEST(MemoHonestyProperty, MisdeclaredSpecIsCaughtAcrossRandomSchemas) {
-  Rng rng(20260805);
-  for (int trial = 0; trial < 32; ++trial) {
-    int counter = static_cast<int>(rng.NextBelow(1000));
-    ObjectType type("Hidden" + std::to_string(trial),
-                    std::make_unique<HiddenCounterSpec>(&counter));
-    Database db;
-    const size_t methods = 1 + rng.NextBelow(4);
-    for (size_t m = 0; m < methods; ++m) {
-      // Random-length names vary which pairs commute at baseline.
-      std::string name(1 + rng.NextBelow(6), 'a' + char(m));
-      db.Register(&type, name, NoOp,
-                  {.calls = {},
-                   .samples = {{Value(int64_t(rng.NextBelow(100)))}},
-                   .compensations = {}});
-    }
-    HonestyOptions options;
-    options.state_perturbations.push_back([&counter] { ++counter; });
-    const auto diags =
-        CheckMemoHonesty(BuildTypeCorpus(&type, db.registry()), options);
-    bool caught = false;
-    for (const auto& d : diags) {
-      if (d.severity == Severity::kError) caught = true;
-    }
-    EXPECT_TRUE(caught) << "trial " << trial
-                        << ": state-dependent spec claiming "
-                           "kInvocationPair escaped the honesty pass";
-  }
-}
 
 TEST(CorpusProperty, MutationPreservesArityAndKinds) {
   Rng rng(7);
@@ -112,13 +55,13 @@ TEST(CorpusProperty, MutationPreservesArityAndKinds) {
   }
 }
 
-// --- the regression the honesty pass guards --------------------------
+// --- state-dependent specs are asked at validation time ---------------
 
 std::unique_ptr<PredicateCommutativity> EscrowStyleSpec(
     const int64_t* balance) {
   // deposit always commutes with deposit; withdraw/withdraw and
   // deposit/withdraw commute only while the balance stays comfortable —
-  // a function of object state, hence DeclareStateDependent.
+  // a function of object state.
   auto spec = std::make_unique<PredicateCommutativity>();
   spec->SetCommutes("deposit", "deposit");
   spec->SetPredicate("deposit", "withdraw",
@@ -129,7 +72,6 @@ std::unique_ptr<PredicateCommutativity> EscrowStyleSpec(
                      [balance](const Invocation&, const Invocation&) {
                        return *balance > 100;
                      });
-  spec->DeclareStateDependent();
   return spec;
 }
 
@@ -137,7 +79,6 @@ TEST(StateDependentSpecRegression, VerdictFollowsStateAtValidation) {
   int64_t balance = 500;
   ObjectType type("EscrowLike", EscrowStyleSpec(&balance),
                   /*primitive=*/true);
-  ASSERT_EQ(type.commutativity().memo(), CommutativityMemo::kNone);
 
   // Four single-action transactions, deposits and withdrawals in turn.
   auto validate = [&type] {

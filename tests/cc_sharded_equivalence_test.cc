@@ -209,9 +209,6 @@ TEST(ShardedEquivalenceTest, SingleShardDefaultStaysRecorded) {
   EXPECT_EQ(db.epoch_log(), nullptr);
   EXPECT_EQ(db.AdvanceEpoch(), 0u);
   EXPECT_EQ(db.options().history, HistoryMode::kRecorded);
-  EXPECT_STREQ(HistoryModeName(HistoryMode::kRecorded), "recorded");
-  EXPECT_STREQ(HistoryModeName(HistoryMode::kEpochBatched),
-               "epoch-batched");
 }
 
 TEST(ShardedEquivalenceTest, ShardResolutionCapsAndDefaults) {

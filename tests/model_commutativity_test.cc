@@ -129,23 +129,5 @@ TEST(PredicateTest, SameParamPredicate) {
   EXPECT_FALSE(spec.Commutes(a, b));
 }
 
-/// A custom spec that declares nothing about its inputs.
-class UndeclaredSpec : public CommutativitySpec {
- public:
-  bool Commutes(const Invocation&, const Invocation&) const override {
-    return true;
-  }
-};
-
-TEST(MemoDeclarationTest, CustomSpecsDefaultToNone) {
-  EXPECT_EQ(UndeclaredSpec().memo(), CommutativityMemo::kNone);
-  EXPECT_EQ(MatrixCommutativity().memo(), CommutativityMemo::kMethodPair);
-  EXPECT_EQ(PredicateCommutativity().memo(),
-            CommutativityMemo::kInvocationPair);
-  PredicateCommutativity stateful;
-  stateful.DeclareStateDependent();
-  EXPECT_EQ(stateful.memo(), CommutativityMemo::kNone);
-}
-
 }  // namespace
 }  // namespace oodb

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/histogram.h"
+#include "util/json.h"
 
 namespace oodb {
 namespace {
@@ -56,6 +58,32 @@ TEST(HistogramMetricTest, MatchesUtilHistogramLayout) {
   }
 }
 
+TEST(HistogramMetricTest, SnapshotBucketsSumToCountDuringObserves) {
+  // A snapshot taken while other threads observe must still be
+  // internally consistent: the sampler's series schema requires every
+  // tick's bucket deltas to sum exactly to its count delta.
+  HistogramMetric h;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&h, &stop, w] {
+      for (uint64_t v = 0; !stop.load(std::memory_order_relaxed); ++v) {
+        h.Observe((v * 7919 + uint64_t(w)) % 100000);
+      }
+    });
+  }
+  size_t inconsistent = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const HistogramSnapshot snap = h.Snapshot();
+    uint64_t total = 0;
+    for (uint64_t b : snap.buckets()) total += b;
+    if (total != snap.count()) ++inconsistent;
+  }
+  stop.store(true);
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(inconsistent, 0u);
+}
+
 TEST(MetricsRegistryTest, LazyCreateReturnsStablePointers) {
   MetricsRegistry registry;
   Counter* a = registry.GetCounter("x.count");
@@ -94,6 +122,29 @@ TEST(MetricsRegistryTest, JsonSnapshotShape) {
   EXPECT_NE(json.find("\"g.two\": 22"), std::string::npos) << json;
   EXPECT_NE(json.find("\"h.three\": {\"count\": 1"), std::string::npos)
       << json;
+}
+
+TEST(MetricsRegistryTest, JsonSnapshotEscapesNames) {
+  MetricsRegistry registry;
+  registry.GetCounter("a\"b\\c")->Increment(4);
+  registry.SetGauge("line\nbreak", -5);
+  registry.GetHistogram("h\"q")->Observe(6);
+  const std::string json = registry.JsonSnapshot();
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json, &doc)) << json;
+  const JsonValue* counters = doc.Find("counters");
+  ASSERT_NE(counters, nullptr) << json;
+  const JsonValue* counter = counters->Find("a\"b\\c");
+  ASSERT_NE(counter, nullptr) << json;
+  EXPECT_EQ(counter->u, 4u);
+  const JsonValue* gauges = doc.Find("gauges");
+  ASSERT_NE(gauges, nullptr) << json;
+  const JsonValue* gauge = gauges->Find("line\nbreak");
+  ASSERT_NE(gauge, nullptr) << json;
+  EXPECT_EQ(gauge->i, -5);
+  const JsonValue* histograms = doc.Find("histograms");
+  ASSERT_NE(histograms, nullptr) << json;
+  EXPECT_NE(histograms->Find("h\"q"), nullptr) << json;
 }
 
 TEST(MetricsRegistryTest, JsonSnapshotDeterministic) {

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "cc/database.h"
+#include "containers/escrow.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/top.h"
@@ -267,6 +269,69 @@ TEST(SamplerTest, ProbesRunEveryTickBeforeTheFold) {
     if (name == "g.probe") first = value;
   }
   EXPECT_EQ(first, 1);
+}
+
+TEST(SamplerTest, EpochBatchedDatabaseProbesTrackEpochsAndCommits) {
+  // The runtime's probes on the sharded path: 4 shards, epoch-batched
+  // history, a flusher advancing epochs while workers commit and the
+  // sampler ticks in the background.
+  DatabaseOptions db_options;
+  db_options.shards = 4;
+  db_options.history = HistoryMode::kEpochBatched;
+  Database db(db_options);
+  MetricsRegistry registry;
+  db.AttachObservability(&registry, nullptr);
+  RegisterAccountMethods(&db, RWAccountType());
+  std::vector<ObjectId> accounts;
+  for (int i = 0; i < 8; ++i) {
+    accounts.push_back(
+        CreateAccount(&db, RWAccountType(), "A" + std::to_string(i), 100));
+  }
+
+  SamplerOptions options;
+  options.interval = std::chrono::milliseconds(1);
+  MetricsSampler sampler(&registry, options);
+  db.InstallSamplerProbes(&sampler);
+  sampler.Start();
+
+  std::atomic<bool> stop{false};
+  std::thread flusher([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      db.AdvanceEpoch();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    db.AdvanceEpoch();
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < 50; ++i) {
+        const ObjectId account = accounts[(t + i) % accounts.size()];
+        (void)db.RunTransaction("W", [&](MethodContext& txn) {
+          return txn.Call(account, Invocation("deposit", {Value(1)}));
+        });
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  stop.store(true);
+  flusher.join();
+  sampler.Stop();
+
+  const std::vector<Sample> series = sampler.Series();
+  ASSERT_FALSE(series.empty());
+  int64_t last_epoch = 0;
+  for (const Sample& s : series) {
+    std::map<std::string, int64_t> gauges(s.gauges.begin(), s.gauges.end());
+    ASSERT_EQ(gauges.count("epoch.number"), 1u) << "tick " << s.tick;
+    ASSERT_EQ(gauges.count("epoch.pending"), 1u) << "tick " << s.tick;
+    EXPECT_GE(gauges["epoch.number"], last_epoch) << "tick " << s.tick;
+    last_epoch = gauges["epoch.number"];
+  }
+  EXPECT_GT(last_epoch, 0);
+  const uint64_t committed = db.counters().committed.load();
+  EXPECT_GT(committed, 0u);
+  EXPECT_EQ(SumCounters(series)["db.txn.committed"], committed);
 }
 
 }  // namespace

@@ -174,56 +174,5 @@ TEST(ZipfTest, ChiSquareAgainstInducedPmf) {
   }
 }
 
-TEST(HotSetTest, ValuesInRange) {
-  HotSetGenerator g(100, 10, 0.9, 3);
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(g.Next(), 100u);
-}
-
-TEST(HotSetTest, ClampsDegenerateParameters) {
-  HotSetGenerator all_hot(10, 50, 2.0, 3);  // hot set clamped to n
-  EXPECT_EQ(all_hot.hot_keys(), 10u);
-  EXPECT_EQ(all_hot.hot_op_fraction(), 1.0);
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(all_hot.Next(), 10u);
-  HotSetGenerator cold_only(10, 2, -1.0, 3);
-  EXPECT_EQ(cold_only.hot_op_fraction(), 0.0);
-  for (int i = 0; i < 1000; ++i) {
-    uint64_t k = cold_only.Next();
-    EXPECT_GE(k, 2u);
-    EXPECT_LT(k, 10u);
-  }
-}
-
-TEST(HotSetTest, HotShareMatchesFraction) {
-  const int draws = 100000;
-  HotSetGenerator g(1000, 100, 0.9, 11);
-  int hot = 0;
-  for (int i = 0; i < draws; ++i) {
-    if (g.Next() < 100) ++hot;
-  }
-  EXPECT_NEAR(hot / double(draws), 0.9, 0.01);
-}
-
-TEST(HotSetTest, ChiSquareUniformWithinEachTier) {
-  // Within the hot set and within the cold set the distribution is
-  // uniform; chi-square both tiers against their conditional pmf.
-  const uint64_t n = 40, hot_keys = 8;
-  const double frac = 0.8;
-  const int draws = 200000;
-  HotSetGenerator g(n, hot_keys, frac, 23);
-  std::map<uint64_t, int> counts;
-  for (int i = 0; i < draws; ++i) ++counts[g.Next()];
-  double stat = ChiSquare(counts, n, draws, [&](uint64_t k) {
-    return k < hot_keys ? frac / double(hot_keys)
-                        : (1.0 - frac) / double(n - hot_keys);
-  });
-  // 39 degrees of freedom; the 0.999 quantile is ~72.1.
-  EXPECT_LT(stat, 72.1) << "chi-square " << stat;
-}
-
-TEST(HotSetTest, Deterministic) {
-  HotSetGenerator a(100, 10, 0.9, 5), b(100, 10, 0.9, 5);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.Next(), b.Next());
-}
-
 }  // namespace
 }  // namespace oodb
