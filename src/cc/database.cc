@@ -1,6 +1,7 @@
 #include "cc/database.h"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "obs/sampler.h"
@@ -703,11 +704,15 @@ Status Database::RunTransaction(const std::string& name,
   // Deadlock backoff: per-thread seeding spreads contending threads,
   // but varies run to run. With backoff_seed set, the sequence depends
   // only on (seed, transaction name), so a failing schedule replays.
+  // Built only when the seed is set: hashing the name costs every call.
   thread_local Rng backoff_rng(
       std::hash<std::thread::id>()(std::this_thread::get_id()));
-  Rng seeded_rng(options_.backoff_seed ^
-                 (std::hash<std::string>()(name) | 1));
-  Rng& rng = options_.backoff_seed != 0 ? seeded_rng : backoff_rng;
+  std::optional<Rng> seeded_rng;
+  if (options_.backoff_seed != 0) {
+    seeded_rng.emplace(options_.backoff_seed ^
+                       (std::hash<std::string>()(name) | 1));
+  }
+  Rng& rng = seeded_rng ? *seeded_rng : backoff_rng;
   const bool epoch = epoch_log_ != nullptr;
   // Phase attribution (obs/phases.h): one accumulator for the root
   // transaction's whole life, all retry attempts included. The scope

@@ -34,13 +34,21 @@
 // Sharding. The lock table is partitioned into `shards` stripes by a
 // hash of the object id: each stripe has its own latch, wait condvar,
 // lock lists, and held-by index, so acquires and releases on objects in
-// different stripes never contend and a release only wakes the waiters
-// of its own stripe (with one stripe, every release wakes every waiter
-// — the classic thundering herd this partitioning exists to kill).
-// Only the waits-for graph stays global (deadlock cycles thread through
-// objects in arbitrary stripes); it lives behind its own mutex and is
-// touched only on the blocked path. shards=1 (the default) reproduces
-// the pre-sharding runtime exactly.
+// different stripes never contend. Only the waits-for graph stays
+// global (deadlock cycles thread through objects in arbitrary stripes);
+// it lives behind its own mutex and is touched only on the blocked
+// path. shards=1 (the default) reproduces the pre-sharding runtime.
+//
+// Wakeups: spin, then park. A blocked Acquire first runs deadlock
+// detection (or wait-die) and publishes its waits-for edges, then
+// releases the stripe latch and spins for a few microseconds on the
+// stripe's release generation, a counter every release that finds
+// waiters bumps under the latch. A holder's remaining critical section
+// is usually shorter than a futex sleep/wake plus reschedule, so most
+// waiters see the generation move while spinning and rescan at once.
+// Only a waiter whose spin budget runs out parks on the stripe condvar,
+// after re-checking the generation under the latch (no lost wakeup).
+// A release wakes only its own stripe's waiters, spinning or parked.
 
 #pragma once
 
@@ -218,7 +226,8 @@ class LockManager {
   /// property the MetricsSampler is built around).
   struct StripeOccupancy {
     size_t held = 0;     ///< locks currently in the stripe's table
-    size_t waiters = 0;  ///< threads blocked in the stripe's wait loop
+    size_t waiters = 0;  ///< threads blocked in the stripe's wait loop,
+                         ///< spinning or parked
     uint64_t waits = 0;  ///< cumulative blocked Acquires
     uint64_t wait_ns = 0;  ///< cumulative blocked time
   };
@@ -251,9 +260,13 @@ class LockManager {
     std::unordered_map<uint64_t, std::vector<Lock*>> held_by;
     /// waits observed per object (keyed by ObjectId value).
     std::unordered_map<uint64_t, uint64_t> waits_per_object;
-    /// Threads currently blocked in this shard's wait loop. Guarded by
-    /// `mu`; releases skip the notify when nobody is waiting.
+    /// Threads currently blocked in this shard's wait loop, spinning or
+    /// parked. Guarded by `mu`; releases skip the wakeup when nobody is
+    /// waiting.
     size_t waiters = 0;
+    /// Bumped under `mu` by every release that finds waiters; spinners
+    /// watch it without `mu` to catch the release without a futex wake.
+    std::atomic<uint64_t> release_gen{0};
     /// Mirror of `waiters` readable without `mu` (Occupancy probes).
     std::atomic<size_t> waiters_now{0};
     /// Locks currently in `table`, maintained at grant/erase so probes
@@ -290,6 +303,10 @@ class LockManager {
 
   /// Drops requester's waits-for edges (under graph_mu_).
   void EraseWaitEdges(uint64_t requester_top);
+
+  /// After a release changed `shard` (mu held): bumps the release
+  /// generation and notifies the condvar, if anyone waits.
+  void WakeWaiters(Shard* shard);
 
   void MoveHolder(Shard* shard, Lock* lock, ActionId new_holder);
   void EraseLock(Shard* shard, Lock* lock);

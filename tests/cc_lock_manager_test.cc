@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "paper_types.h"
 
@@ -212,6 +214,146 @@ TEST(LockManagerTest, DeadlockDetectedOnCycle) {
   lm.ReleaseAllHeldBy(b2);
   t1_thread.join();
   EXPECT_TRUE(t1_status.ok());
+}
+
+TEST(LockManagerTest, SpinHandoffGrantsPromptlyAndCountsOneWait) {
+  // The holder releases as soon as the waiter is seen blocked, so in
+  // some rounds the release lands while the waiter is still spinning. A
+  // release lost between the spin and the park would strand that
+  // waiter until its timeout.
+  constexpr int kRounds = 200;
+  World w;
+  LockManagerOptions opts;
+  opts.wait_timeout = std::chrono::milliseconds(1000);
+  LockManager lm(&w.ts, opts);
+  const size_t s = lm.ShardOf(w.page);
+  ActionId a = w.ts.Call(w.t1, w.page, Invocation("write"));
+  ActionId b = w.ts.Call(w.t2, w.page, Invocation("write"));
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(
+        lm.Acquire(w.page, PageType(), Invocation("write"), a, w.t1).ok());
+    Status waiter_status;
+    std::thread waiter([&] {
+      waiter_status =
+          lm.Acquire(w.page, PageType(), Invocation("write"), b, w.t2);
+    });
+    // Busy-poll: a yield here usually lets the spin budget run out
+    // before the release lands.
+    while (lm.Occupancy()[s].waiters == 0) {
+    }
+    lm.ReleaseAllHeldBy(a);
+    waiter.join();
+    ASSERT_TRUE(waiter_status.ok()) << "round " << round << ": "
+                                    << waiter_status.message();
+    lm.ReleaseAllHeldBy(b);
+  }
+  EXPECT_EQ(lm.wait_count(), static_cast<uint64_t>(kRounds));
+  EXPECT_GT(lm.PerShardStats()[s].wait_ns, 0u);
+  EXPECT_EQ(lm.Occupancy()[s].waiters, 0u);
+}
+
+TEST(LockManagerTest, WaitTimeoutCoversTheSpin) {
+  World w;
+  LockManagerOptions opts;
+  opts.wait_timeout = std::chrono::milliseconds(20);
+  LockManager lm(&w.ts, opts);
+  ActionId a = w.ts.Call(w.t1, w.page, Invocation("write"));
+  ActionId b = w.ts.Call(w.t2, w.page, Invocation("write"));
+  ASSERT_TRUE(
+      lm.Acquire(w.page, PageType(), Invocation("write"), a, w.t1).ok());
+  auto start = std::chrono::steady_clock::now();
+  Status st = lm.Acquire(w.page, PageType(), Invocation("write"), b, w.t2);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(st.IsDeadlock());
+  EXPECT_NE(st.message().find("lock wait timeout"), std::string::npos);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(20));
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_EQ(lm.Occupancy()[lm.ShardOf(w.page)].waiters, 0u);
+}
+
+TEST(LockManagerTest, ConflictingWritersExcludeEachOther) {
+  // Four transactions cycle Page.write locks on one page; the counter
+  // is a plain int touched only under the lock, so a lost update (or a
+  // ThreadSanitizer report) means two writers held it at once.
+  constexpr int kThreads = 4;
+  constexpr int kCycles = 20000;
+  World w;
+  LockManagerOptions opts;
+  opts.wait_timeout = std::chrono::seconds(60);
+  LockManager lm(&w.ts, opts);
+  std::vector<ActionId> tops, actions;
+  for (int i = 0; i < kThreads; ++i) {
+    tops.push_back(w.ts.BeginTopLevel("W" + std::to_string(i)));
+    actions.push_back(w.ts.Call(tops.back(), w.page, Invocation("write")));
+  }
+  int counter = 0;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int c = 0; c < kCycles; ++c) {
+        if (!lm.Acquire(w.page, PageType(), Invocation("write"), actions[i],
+                        tops[i])
+                 .ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        ++counter;
+        lm.ReleaseAllHeldBy(actions[i]);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(counter, kThreads * kCycles);
+  EXPECT_EQ(lm.LockCount(), 0u);
+  EXPECT_EQ(lm.Occupancy()[lm.ShardOf(w.page)].waiters, 0u);
+}
+
+TEST(LockManagerTest, DeadlockDetectedWhenBothRequestersBlockAtOnce) {
+  // Both transactions request the other's lock at the same moment, so
+  // the first to block is usually still spinning when the second closes
+  // the cycle. Exactly one is the victim; the survivor is granted once
+  // the victim releases.
+  for (int round = 0; round < 50; ++round) {
+    World w;
+    LockManagerOptions opts;
+    opts.wait_timeout = std::chrono::milliseconds(5000);
+    LockManager lm(&w.ts, opts);
+    ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
+    ActionId b2 = w.ts.Call(w.t2, w.page, Invocation("write"));
+    ActionId p1 = w.ts.Call(w.t1, w.page, Invocation("write"));
+    ActionId l2 = w.ts.Call(w.t2, w.leaf, Ins("x"));
+    ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
+    ASSERT_TRUE(
+        lm.Acquire(w.page, PageType(), Invocation("write"), b2, w.t2).ok());
+
+    std::atomic<int> ready{0};
+    auto start_together = [&] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+    };
+    // The victim aborts: everything its transaction holds goes.
+    Status s1, s2;
+    std::thread t1([&] {
+      start_together();
+      s1 = lm.Acquire(w.page, PageType(), Invocation("write"), p1, w.t1);
+      if (s1.IsDeadlock()) lm.ReleaseAllHeldBy(a1);
+    });
+    std::thread t2([&] {
+      start_together();
+      s2 = lm.Acquire(w.leaf, LeafType(), Ins("x"), l2, w.t2);
+      if (s2.IsDeadlock()) lm.ReleaseAllHeldBy(b2);
+    });
+    t1.join();
+    t2.join();
+    ASSERT_NE(s1.IsDeadlock(), s2.IsDeadlock()) << "round " << round;
+    EXPECT_TRUE(s1.ok() || s2.ok());
+    EXPECT_NE((s1.IsDeadlock() ? s1 : s2).message().find("waits-for cycle"),
+              std::string::npos);
+    EXPECT_EQ(lm.deadlock_count(), 1u);
+  }
 }
 
 TEST(LockManagerTest, WaitDieYoungerRequesterDies) {
