@@ -5,7 +5,6 @@
 #include <string>
 
 #include "cc/lock_manager.h"
-#include "model/transaction_system.h"
 
 namespace oodb::analysis {
 
@@ -16,14 +15,18 @@ std::vector<Diagnostic> CheckLockConformance(
   const CommutativitySpec& reference =
       options.reference ? *options.reference : type->commutativity();
 
-  TransactionSystem ts;
-  const ObjectId obj = ts.AddObject(type, "LintProbe");
-  const ActionId t1 = ts.BeginTopLevel("LintHolder");
-  const ActionId t2 = ts.BeginTopLevel("LintRequester");
+  // One probe object and two top-level transactions that lock it
+  // directly, so each requester's call sphere is just itself.
+  const ObjectId obj(1);
+  const std::string name = "LintProbe";
+  const ActionId t1(0);
+  const ActionId t2(1);
+  const SphereChain holder{&t1, 1};
+  const SphereChain requester{&t2, 1};
 
   LockManagerOptions lm_options;
   lm_options.wait_timeout = std::chrono::milliseconds(0);
-  LockManager lm(&ts, lm_options);
+  LockManager lm(lm_options);
 
   // One diagnostic per (method pair, kind); the first witnessing
   // invocation pair carries the detail.
@@ -42,7 +45,7 @@ std::vector<Diagnostic> CheckLockConformance(
       const bool expected = reference.Commutes(a, b);
 
       // Commutativity semantics: admit iff the pair commutes.
-      Status held = lm.Acquire(obj, type, a, t1, t1);
+      Status held = lm.Acquire(obj, name, type, a, holder, t1);
       if (!held.ok()) {
         Report("held", Severity::kError, a, b,
                "could not seed the probe lock on an empty table: " +
@@ -50,7 +53,8 @@ std::vector<Diagnostic> CheckLockConformance(
         lm.ReleaseAllHeldBy(t1);
         continue;
       }
-      const bool admitted = lm.Acquire(obj, type, b, t2, t2).ok();
+      const bool admitted =
+          lm.Acquire(obj, name, type, b, requester, t2).ok();
       lm.ReleaseAllHeldBy(t2);
       if (admitted && !expected) {
         Report("admit", Severity::kError, a, b,
@@ -67,7 +71,7 @@ std::vector<Diagnostic> CheckLockConformance(
       }
 
       // Sphere rule: the holder itself never blocks (t1 re-requesting).
-      if (!lm.Acquire(obj, type, b, t1, t1).ok()) {
+      if (!lm.Acquire(obj, name, type, b, holder, t1).ok()) {
         Report("sphere", Severity::kError, a, b,
                "holder blocked on its own sphere: " + b.ToString() +
                    " from the same action that holds " + a.ToString());
@@ -75,9 +79,10 @@ std::vector<Diagnostic> CheckLockConformance(
       lm.ReleaseAllHeldBy(t1);
 
       // Exclusive strawman held: everything outside the sphere blocks.
-      held = lm.Acquire(obj, type, a, t1, t1, LockSemantics::kExclusive);
+      held = lm.Acquire(obj, name, type, a, holder, t1,
+                        LockSemantics::kExclusive);
       if (held.ok()) {
-        if (lm.Acquire(obj, type, b, t2, t2).ok()) {
+        if (lm.Acquire(obj, name, type, b, requester, t2).ok()) {
           Report("excl-held", Severity::kError, a, b,
                  "an exclusive lock on " + a.ToString() +
                      " failed to block " + b.ToString());
@@ -87,9 +92,10 @@ std::vector<Diagnostic> CheckLockConformance(
       lm.ReleaseAllHeldBy(t1);
 
       // Exclusive request against a held commutativity lock.
-      held = lm.Acquire(obj, type, a, t1, t1);
+      held = lm.Acquire(obj, name, type, a, holder, t1);
       if (held.ok()) {
-        if (lm.Acquire(obj, type, b, t2, t2, LockSemantics::kExclusive)
+        if (lm.Acquire(obj, name, type, b, requester, t2,
+                       LockSemantics::kExclusive)
                 .ok()) {
           Report("excl-req", Severity::kError, a, b,
                  "an exclusive request for " + b.ToString() +

@@ -106,23 +106,9 @@ DatabaseOptions ResolveOptions(DatabaseOptions o) {
 
 }  // namespace
 
-void RunCounters::PublishTo(MetricsRegistry* registry) const {
-  if (registry == nullptr) return;
-  registry->SetGauge("run.committed",
-                     static_cast<int64_t>(committed.load()));
-  registry->SetGauge("run.aborted", static_cast<int64_t>(aborted.load()));
-  registry->SetGauge("run.deadlocks",
-                     static_cast<int64_t>(deadlocks.load()));
-  registry->SetGauge("run.conflicts",
-                     static_cast<int64_t>(conflicts.load()));
-  registry->SetGauge("run.operations",
-                     static_cast<int64_t>(operations.load()));
-  registry->SetGauge("run.retries", static_cast<int64_t>(retries.load()));
-}
-
 Database::Database(DatabaseOptions options)
     : options_(ResolveOptions(std::move(options))),
-      locks_(&ts_, options_.lock_options) {
+      locks_(options_.lock_options) {
   object_shards_.reserve(options_.shards);
   for (size_t i = 0; i < options_.shards; ++i) {
     object_shards_.push_back(std::make_unique<ObjectShard>());
@@ -139,20 +125,20 @@ void Database::AttachObservability(MetricsRegistry* metrics,
   metrics_ = metrics;
   if (metrics == nullptr) {
     m_committed_ = m_aborted_ = m_deadlocks_ = nullptr;
-    m_retries_ = m_conflicts_ = m_operations_ = nullptr;
-    m_epoch_flushes_ = m_epoch_events_ = nullptr;
-    phase_hists_.reset();
+    m_retries_ = m_conflict_count_ = m_operations_ = nullptr;
+    m_epoch_flushes_ = m_epoch_event_count_ = nullptr;
+    phase_histograms_.reset();
     return;
   }
-  phase_hists_ = std::make_unique<PhaseHistograms>(metrics);
+  phase_histograms_ = std::make_unique<PhaseHistograms>(metrics);
   m_committed_ = metrics->GetCounter("db.txn.committed");
   m_aborted_ = metrics->GetCounter("db.txn.aborted");
   m_deadlocks_ = metrics->GetCounter("db.txn.deadlocks");
   m_retries_ = metrics->GetCounter("db.txn.retries");
-  m_conflicts_ = metrics->GetCounter("db.call.conflicts");
+  m_conflict_count_ = metrics->GetCounter("db.call.conflicts");
   m_operations_ = metrics->GetCounter("db.call.operations");
   m_epoch_flushes_ = metrics->GetCounter("db.epoch.flushes");
-  m_epoch_events_ = metrics->GetCounter("db.epoch.events");
+  m_epoch_event_count_ = metrics->GetCounter("db.epoch.events");
 }
 
 void Database::InstallSamplerProbes(MetricsSampler* sampler) {
@@ -199,7 +185,6 @@ void Database::InstallSamplerProbes(MetricsSampler* sampler) {
       "db.contention",
       [this, reg, stripe_gauges, hot_gauges, waitsfor_nodes, waitsfor_edges,
        epoch_number, epoch_pending] {
-        counters_.PublishTo(reg);
         const auto occupancy = locks_.Occupancy();
         for (size_t s = 0;
              s < occupancy.size() && s < stripe_gauges->size(); ++s) {
@@ -240,42 +225,55 @@ void Database::InstallSamplerProbes(MetricsSampler* sampler) {
       });
 }
 
-void Database::AttachDurability(DurabilityHook* hook) {
-  if (hook != nullptr && epoch_log_ != nullptr) {
-    OODB_ERROR(
-        "durability requires kRecorded history (the WAL reads the live "
-        "transaction record); ignoring AttachDurability in epoch mode");
-    return;
-  }
-  durability_ = hook;
-}
-
-uint32_t Database::LevelOf(ActionId action) const {
-  uint32_t level = 0;
-  ActionId cur = ts_.action(action).parent;
-  while (cur.valid()) {
-    ++level;
-    cur = ts_.action(cur).parent;
-  }
-  return level;
-}
-
-void Database::TraceAction(ActionId action, ActionId parent, ObjectId obj,
-                           const std::string& name, uint64_t start,
-                           const char* outcome, std::string phases) {
+void Database::TraceAction(const MethodContext& ctx, const std::string& name,
+                           uint64_t start, const char* outcome,
+                           std::string phases) {
   TraceSpan span;
-  span.id = action.value;
-  span.parent = parent.value;
+  span.id = ctx.action_.value;
+  span.parent = ctx.parent_ != nullptr ? ctx.parent_->action_.value
+                                       : ActionId::kInvalid;
   span.name = name;
-  span.object = obj.value;
-  span.txn = ts_.TopLevelOf(action).value;
-  span.level = LevelOf(action);
+  span.object = ctx.self_.value;
+  span.txn = ctx.top_.value;
+  span.level = ctx.depth_;
   span.tid = tracer_->ThreadId();
   span.start = start;
   span.end = tracer_->NowNs();
   span.outcome = outcome;
   span.phases = std::move(phases);
   tracer_->RecordSpan(std::move(span));
+}
+
+void Database::FinishAction(const MethodContext& ctx,
+                            ActionEvent::Outcome outcome, uint32_t process,
+                            uint64_t timestamp, Invocation&& inv) {
+  const bool completed = outcome == ActionEvent::Outcome::kOk ||
+                         outcome == ActionEvent::Outcome::kCommit;
+  if (epoch_log_ == nullptr) {
+    if (timestamp != 0) ts_.SetTimestamp(ctx.action_, timestamp);
+    if (completed) ts_.MarkCompleted(ctx.action_);
+    return;
+  }
+  ActionEvent e;
+  e.id = ctx.action_.value;
+  e.top = ctx.top_.value;
+  e.process = process;
+  e.sequential = process == 0;
+  e.outcome = outcome;
+  e.timestamp = timestamp;
+  if (completed) {
+    e.completion =
+        next_completion_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  if (ctx.parent_ == nullptr) {
+    e.object = ObjectId::kSystem;
+    e.inv = Invocation(*ctx.top_name_);
+  } else {
+    e.parent = ctx.parent_->action_.value;
+    e.object = ctx.self_.value;
+    e.inv = std::move(inv);
+  }
+  epoch_log_->Append(std::move(e));
 }
 
 void Database::Register(const ObjectType* type, const std::string& method,
@@ -295,10 +293,11 @@ void Database::DeclareProbe(const ObjectType* type, TypeProbeTraits traits) {
 
 ObjectId Database::CreateObject(const ObjectType* type, std::string name,
                                 std::unique_ptr<ObjectState> state) {
-  ObjectId id = ts_.AddObject(type, std::move(name));
   auto runtime = std::make_unique<RuntimeObject>();
   runtime->type = type;
+  runtime->name = name;
   runtime->state = std::move(state);
+  ObjectId id = ts_.AddObject(type, std::move(name));
   ObjectShard& shard =
       *object_shards_[ObjectShardIndex(id.value, object_shards_.size())];
   std::unique_lock<std::shared_mutex> guard(shard.mu);
@@ -388,28 +387,27 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
 
   const ActionId parent = parent_ctx->action_;
   const ActionId top = parent_ctx->top_;
-  const bool epoch = epoch_log_ != nullptr;
 
   // Record the call (Def 2). Parallel branches run in their own process
   // (Def 9) with no precedence edge from earlier siblings. In epoch mode
   // the id comes off an atomic counter and the record is the ActionEvent
   // emitted when the action finishes.
   ActionId action;
-  if (epoch) {
+  if (epoch_log_ != nullptr) {
     action = ActionId(next_action_.fetch_add(1, std::memory_order_relaxed));
   } else {
     action = ts_.Call(parent, obj, inv, /*sequential=*/process == 0);
     if (process != 0) ts_.SetProcess(action, process);
   }
+  MethodContext ctx(this, action, obj, runtime->state.get(),
+                    &runtime->latch, parent_ctx, runtime->type);
 
   // The requester's call sphere as a flat id array (itself first, then
-  // its ancestors): the lock manager scans these ids for sphere checks
-  // instead of walking the shared TransactionSystem on the hot path.
+  // its ancestors): the lock manager scans these ids for sphere checks.
   ActionId chain_stack[32];
   std::vector<ActionId> chain_heap;
   size_t chain_len = 0;
-  chain_stack[chain_len++] = action;
-  const MethodContext* anc = parent_ctx;
+  const MethodContext* anc = &ctx;
   for (; anc != nullptr && chain_len < 32; anc = anc->parent_) {
     chain_stack[chain_len++] = anc->action_;
   }
@@ -423,12 +421,11 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
   }
 
   // Span start precedes the lock acquire so lock waits show up inside
-  // the action's span, where they are spent. (Tracing reads the live
-  // record, so it is off in epoch mode.)
-  const bool traced = tracer_ != nullptr && !epoch;
+  // the action's span, where they are spent.
+  const bool traced = tracer_ != nullptr;
   const uint64_t span_start = traced ? tracer_->NowNs() : 0;
   std::string span_name;
-  if (traced) span_name = ts_.object(obj).name + "." + inv.method;
+  if (traced) span_name = runtime->name + "." + inv.method;
 
   // Acquire per the scheduler mode.
   //
@@ -452,18 +449,19 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
   switch (options_.scheduler) {
     case SchedulerKind::kOpenNested:
     case SchedulerKind::kClosedNested:
-      lock_status = locks_.Acquire(obj, runtime->type, inv, action, top,
-                                   LockSemantics::kCommutativity,
-                                   /*hold_at_top=*/pre_passed, &chain);
+      lock_status = locks_.Acquire(obj, runtime->name, runtime->type, inv,
+                                   chain, top, LockSemantics::kCommutativity,
+                                   /*hold_at_top=*/pre_passed);
       acquired = true;
       break;
     case SchedulerKind::kFlat2PL:
       // Only the primitive layer is locked; composite calls pass
       // through (the conventional system does not know them).
       if (runtime->type->primitive()) {
-        lock_status = locks_.Acquire(obj, runtime->type, inv, action, top,
+        lock_status = locks_.Acquire(obj, runtime->name, runtime->type,
+                                     inv, chain, top,
                                      LockSemantics::kCommutativity,
-                                     /*hold_at_top=*/true, &chain);
+                                     /*hold_at_top=*/true);
         acquired = true;
       }
       // Every flat-2PL lock lives with the top-level transaction, so a
@@ -471,9 +469,9 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
       locks_at_top = true;
       break;
     case SchedulerKind::kObjectExclusive:
-      lock_status = locks_.Acquire(obj, runtime->type, inv, action, top,
-                                   LockSemantics::kExclusive,
-                                   /*hold_at_top=*/true, &chain);
+      lock_status = locks_.Acquire(obj, runtime->name, runtime->type, inv,
+                                   chain, top, LockSemantics::kExclusive,
+                                   /*hold_at_top=*/true);
       acquired = true;
       locks_at_top = true;
       break;
@@ -482,32 +480,19 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
   }
   if (!lock_status.ok()) {
     counters_.conflicts.fetch_add(1, std::memory_order_relaxed);
-    if (m_conflicts_) m_conflicts_->Increment();
+    if (m_conflict_count_) m_conflict_count_->Increment();
     if (traced) {
-      TraceAction(action, parent, obj, span_name, span_start,
-                  TraceOutcome(lock_status));
+      TraceAction(ctx, span_name, span_start, TraceOutcome(lock_status));
     }
-    if (epoch) {
-      ActionEvent e;
-      e.id = action.value;
-      e.parent = parent.value;
-      e.top = top.value;
-      e.object = obj.value;
-      e.process = process;
-      e.sequential = process == 0;
-      e.outcome = ActionEvent::Outcome::kFailed;
-      e.inv = std::move(inv);
-      epoch_log_->Append(std::move(e));
-    }
+    FinishAction(ctx, ActionEvent::Outcome::kFailed, process, 0,
+                 std::move(inv));
     return lock_status;
   }
 
-  MethodContext ctx(this, action, obj, runtime->state.get(),
-                    &runtime->latch, parent_ctx, runtime->type);
   if (acquired) {
     ctx.lock_shards_.store(locks_.ShardBit(obj), std::memory_order_relaxed);
   }
-  uint64_t event_timestamp = 0;
+  uint64_t timestamp = 0;
   Status body_status;
   if (runtime->type->primitive()) {
     // Primitive action: atomic under the object latch, with the Axiom 1
@@ -516,12 +501,7 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
     std::lock_guard<std::mutex> latch(runtime->latch);
     body_status = (*impl)(ctx, inv.params, result);
     if (body_status.ok()) {
-      if (epoch) {
-        event_timestamp =
-            next_timestamp_.fetch_add(1, std::memory_order_relaxed) + 1;
-      } else {
-        ts_.SetTimestamp(action, ts_.NextTimestamp());
-      }
+      timestamp = next_timestamp_.fetch_add(1, std::memory_order_relaxed) + 1;
     }
     counters_.operations.fetch_add(1, std::memory_order_relaxed);
     if (m_operations_) m_operations_->Increment();
@@ -557,31 +537,13 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
     // Span ends after compensation, so the compensating children's
     // spans nest inside the failed action's.
     if (traced) {
-      TraceAction(action, parent, obj, span_name, span_start,
-                  TraceOutcome(body_status));
+      TraceAction(ctx, span_name, span_start, TraceOutcome(body_status));
     }
-    if (epoch) {
-      ActionEvent e;
-      e.id = action.value;
-      e.parent = parent.value;
-      e.top = top.value;
-      e.object = obj.value;
-      e.process = process;
-      e.sequential = process == 0;
-      e.outcome = ActionEvent::Outcome::kFailed;
-      e.inv = std::move(inv);
-      epoch_log_->Append(std::move(e));
-    }
+    FinishAction(ctx, ActionEvent::Outcome::kFailed, process, 0,
+                 std::move(inv));
     return body_status;
   }
 
-  uint64_t completion_seq = 0;
-  if (epoch) {
-    completion_seq =
-        next_completion_.fetch_add(1, std::memory_order_relaxed) + 1;
-  } else {
-    ts_.MarkCompleted(action);
-  }
   // Log completed mutating actions on persistent roots *before* the
   // lock passes up: the action still holds its semantic lock here, so
   // for any pair of conflicting root operations the WAL append order is
@@ -594,9 +556,8 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
     if (!observer || ctx.compensation_.has_value()) {
       const Invocation* comp =
           ctx.compensation_.has_value() ? &*ctx.compensation_ : nullptr;
-      uint64_t lsn =
-          durability_->LogOp(top.value, ts_.action(top).invocation.method,
-                             ts_.object(obj).name, inv, comp);
+      uint64_t lsn = durability_->LogOp(top.value, *ctx.top_name_,
+                                        runtime->name, inv, comp);
       if (logged_lsn != nullptr) *logged_lsn = lsn;
     }
   }
@@ -626,23 +587,9 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
   // The parent inherits the child's lock shards (pass-up): fold the
   // mask up so top-level completion visits every relevant stripe.
   parent_ctx->lock_shards_.fetch_or(shard_mask, std::memory_order_relaxed);
-  if (traced) {
-    TraceAction(action, parent, obj, span_name, span_start, "ok");
-  }
-  if (epoch) {
-    ActionEvent e;
-    e.id = action.value;
-    e.parent = parent.value;
-    e.top = top.value;
-    e.object = obj.value;
-    e.process = process;
-    e.sequential = process == 0;
-    e.outcome = ActionEvent::Outcome::kOk;
-    e.timestamp = event_timestamp;
-    e.completion = completion_seq;
-    e.inv = std::move(inv);
-    epoch_log_->Append(std::move(e));
-  }
+  if (traced) TraceAction(ctx, span_name, span_start, "ok");
+  FinishAction(ctx, ActionEvent::Outcome::kOk, process, timestamp,
+               std::move(inv));
   return Status::OK();
 }
 
@@ -687,7 +634,7 @@ uint64_t Database::AdvanceEpoch() {
   const uint64_t count = batch.size();
   const uint64_t epoch = epoch_log_->epoch();
   if (m_epoch_flushes_) m_epoch_flushes_->Increment();
-  if (m_epoch_events_) m_epoch_events_->Increment(count);
+  if (m_epoch_event_count_) m_epoch_event_count_->Increment(count);
   if (epoch_sink_ != nullptr && count > 0) {
     epoch_sink_->OnEpoch(epoch, std::move(batch));
   }
@@ -713,13 +660,12 @@ Status Database::RunTransaction(const std::string& name,
                        (std::hash<std::string>()(name) | 1));
   }
   Rng& rng = seeded_rng ? *seeded_rng : backoff_rng;
-  const bool epoch = epoch_log_ != nullptr;
   // Phase attribution (obs/phases.h): one accumulator for the root
   // transaction's whole life, all retry attempts included. The scope
   // installs it as the thread's current accumulator so the lock manager
   // and the storage engine can credit waits and WAL forces from their
   // own layers; CallParallel re-installs it in branch threads.
-  const bool phased = phase_hists_ != nullptr;
+  const bool phased = phase_histograms_ != nullptr;
   PhaseAccumulator phase_acc;
   PhaseScope phase_scope(phased ? &phase_acc : nullptr);
   const uint64_t txn_start = phased ? PhaseNowNs() : 0;
@@ -733,14 +679,15 @@ Status Database::RunTransaction(const std::string& name,
     std::shared_lock<std::shared_mutex> gate(txn_gate_, std::defer_lock);
     if (durability_ != nullptr) gate.lock();
     ActionId top;
-    if (epoch) {
+    if (epoch_log_ != nullptr) {
       top = ActionId(next_action_.fetch_add(1, std::memory_order_relaxed));
     } else {
       top = ts_.BeginTopLevel(attempt_name);
     }
-    const bool traced = tracer_ != nullptr && !epoch;
+    const bool traced = tracer_ != nullptr;
     const uint64_t span_start = traced ? tracer_->NowNs() : 0;
     MethodContext ctx(this, top, ObjectId(), nullptr, nullptr);
+    ctx.top_name_ = &attempt_name;
     // Admission: gate entry plus top-level registration, body not yet
     // running.
     if (phased) {
@@ -751,13 +698,6 @@ Status Database::RunTransaction(const std::string& name,
       const uint64_t commit_start = phased ? PhaseNowNs() : 0;
       const uint64_t wal_before =
           phased ? phase_acc.Get(Phase::kWalForce) : 0;
-      uint64_t completion_seq = 0;
-      if (epoch) {
-        completion_seq =
-            next_completion_.fetch_add(1, std::memory_order_relaxed) + 1;
-      } else {
-        ts_.MarkCompleted(top);
-      }
       // Write-ahead: the commit record is appended and forced before
       // any lock releases, so no other transaction can observe (and
       // log operations depending on) effects whose commit might still
@@ -773,6 +713,7 @@ Status Database::RunTransaction(const std::string& name,
       }
       counters_.committed.fetch_add(1, std::memory_order_relaxed);
       if (m_committed_) m_committed_->Increment();
+      FinishAction(ctx, ActionEvent::Outcome::kCommit, 0, 0, Invocation());
       // Commit-publish: everything between the body returning OK and
       // the transaction being externally visible (history/epoch
       // publish, lock release, compensation cleanup) minus the WAL
@@ -785,27 +726,16 @@ Status Database::RunTransaction(const std::string& name,
                       publish > wal_ns ? publish - wal_ns : 0);
       }
       if (traced) {
-        TraceAction(top, ActionId(), ObjectId(), attempt_name, span_start,
-                    "commit",
+        TraceAction(ctx, attempt_name, span_start, "commit",
                     phased ? PhasesJson(phase_acc, PhaseNowNs() - txn_start)
                            : std::string());
-      }
-      if (epoch) {
-        ActionEvent e;
-        e.id = top.value;
-        e.top = top.value;
-        e.object = ObjectId::kSystem;
-        e.outcome = ActionEvent::Outcome::kCommit;
-        e.completion = completion_seq;
-        e.inv = Invocation(attempt_name);
-        epoch_log_->Append(std::move(e));
       }
       if (durability_ != nullptr) {
         gate.unlock();
         durability_->MaybeCheckpoint(this);
       }
       if (phased) {
-        phase_hists_->Observe(phase_acc, PhaseNowNs() - txn_start);
+        phase_histograms_->Observe(phase_acc, PhaseNowNs() - txn_start);
       }
       return Status::OK();
     }
@@ -831,27 +761,18 @@ Status Database::RunTransaction(const std::string& name,
     if (traced) {
       // Aborted attempts carry the breakdown accumulated so far (their
       // compensation work lands in the execute residual).
-      TraceAction(top, ActionId(), ObjectId(), attempt_name, span_start,
-                  TraceOutcome(st),
+      TraceAction(ctx, attempt_name, span_start, TraceOutcome(st),
                   phased ? PhasesJson(phase_acc, PhaseNowNs() - txn_start)
                          : std::string());
     }
-    if (epoch) {
-      ActionEvent e;
-      e.id = top.value;
-      e.top = top.value;
-      e.object = ObjectId::kSystem;
-      e.outcome = ActionEvent::Outcome::kAbort;
-      e.inv = Invocation(attempt_name);
-      epoch_log_->Append(std::move(e));
-    }
+    FinishAction(ctx, ActionEvent::Outcome::kAbort, 0, 0, Invocation());
     if (st.IsDeadlock()) {
       counters_.deadlocks.fetch_add(1, std::memory_order_relaxed);
       if (m_deadlocks_) m_deadlocks_->Increment();
       if (attempt < options_.max_retries) {
         counters_.retries.fetch_add(1, std::memory_order_relaxed);
         if (m_retries_) m_retries_->Increment();
-        if (tracer_ != nullptr && !epoch) {
+        if (tracer_ != nullptr) {
           tracer_->RecordInstant("txn.retry", tracer_->NowNs(),
                                  attempt_name);
         }
@@ -868,7 +789,7 @@ Status Database::RunTransaction(const std::string& name,
       }
     }
     if (phased) {
-      phase_hists_->Observe(phase_acc, PhaseNowNs() - txn_start);
+      phase_histograms_->Observe(phase_acc, PhaseNowNs() - txn_start);
     }
     return st;
   }

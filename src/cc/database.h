@@ -32,12 +32,16 @@
 // stripe (see lock_manager.h). Each action carries the set of stripes
 // it may hold locks in as a 64-bit mask, so completion only visits
 // those stripes. History recording has two modes: kRecorded appends
-// every action to the shared TransactionSystem as it happens (the
-// classic, validator-ready path), kEpochBatched appends compact events
-// to per-thread buffers that a flusher drains once per epoch
+// every action to the shared TransactionSystem (the classic,
+// validator-ready path), kEpochBatched appends compact events to
+// per-thread buffers that a flusher drains once per epoch
 // (AdvanceEpoch) — the throughput path; replay the batches through
-// HistoryEpochSink to validate after the fact. Durability and tracing
-// read the live TransactionSystem and are unsupported in epoch mode.
+// HistoryEpochSink to validate after the fact. The modes differ only in
+// where an action's record goes. While transactions run the runtime
+// never reads the record: the lock manager, the WAL and the tracer take
+// everything they need (call sphere, depth, top-level name, object
+// name) from the calling thread's MethodContext and the object's
+// runtime entry, so durability and tracing work in both modes.
 
 #pragma once
 
@@ -82,11 +86,6 @@ struct RunCounters {
     committed = aborted = deadlocks = 0;
     conflicts = operations = retries = 0;
   }
-
-  /// Copies the current values onto run.* gauges in `registry`.
-  /// Idempotent (gauges are set, not added), so snapshotting twice is
-  /// safe; call it whenever a fresh snapshot is about to be exported.
-  void PublishTo(MetricsRegistry* registry) const;
 };
 
 enum class SchedulerKind {
@@ -106,15 +105,15 @@ bool SchedulerKindFromName(const std::string& name, SchedulerKind* out);
 
 /// How the execution history is published.
 enum class HistoryMode {
-  /// Every action is recorded into the shared TransactionSystem as it
-  /// happens. The record is the history: validate, print, or trace it
-  /// directly. One global mutex per recorded event.
+  /// Every action is recorded into the shared TransactionSystem: the
+  /// call when it starts, its timestamp and completion when it
+  /// finishes. The record is the history: validate or print it directly
+  /// once the run is over. One global mutex per recorded event.
   kRecorded,
   /// Actions append ActionEvents to per-thread buffers; AdvanceEpoch
   /// drains all buffers into one batch per epoch for the attached
   /// EpochSink. Nothing lands in the TransactionSystem during the run
-  /// (objects are still registered); durability and tracing are
-  /// unsupported. See cc/epoch_log.h.
+  /// (objects are still registered). See cc/epoch_log.h.
   kEpochBatched,
 };
 
@@ -203,14 +202,13 @@ class Database {
   /// action into `tracer` from now on. Either may be null to leave that
   /// side off; calling again with nulls detaches. Attach before running
   /// transactions; attaching is not synchronized against concurrent
-  /// ExecuteCall traffic. Tracing requires kRecorded history (spans
-  /// read the live record); in epoch mode the tracer is ignored.
+  /// ExecuteCall traffic.
   void AttachObservability(MetricsRegistry* metrics, Tracer* tracer);
 
   /// Registers this runtime's contention probes on `sampler`: per-stripe
   /// lock-table occupancy/wait-depth gauges, waits-for graph size, top-K
-  /// hot objects, epoch-pipeline depth, and the run.* counters — all
-  /// refreshed on each sampler tick into the registry given to
+  /// hot objects and epoch-pipeline depth — all refreshed on each
+  /// sampler tick into the registry given to
   /// AttachObservability (which must be the sampler's registry, attached
   /// first). See docs/OBSERVABILITY.md ("Contention snapshots").
   void InstallSamplerProbes(MetricsSampler* sampler);
@@ -222,9 +220,7 @@ class Database {
   /// transaction gate and reports op/commit/abort events to the hook
   /// (see DurabilityHook for the exact ordering contract). Attach while
   /// no transactions run; the runtime does not synchronize the switch.
-  /// Requires kRecorded history (the WAL reads the live record);
-  /// attaching in epoch mode is rejected with an error log.
-  void AttachDurability(DurabilityHook* hook);
+  void AttachDurability(DurabilityHook* hook) { durability_ = hook; }
   DurabilityHook* durability() const { return durability_; }
 
   /// Runs `fn` while holding the transaction gate exclusively: no
@@ -261,6 +257,9 @@ class Database {
 
   struct RuntimeObject {
     const ObjectType* type;
+    /// Copy of the record's name, for WAL records, spans and lock
+    /// verdicts (the record itself is not read while transactions run).
+    std::string name;
     std::unique_ptr<ObjectState> state;
     std::mutex latch;
   };
@@ -274,15 +273,21 @@ class Database {
 
   RuntimeObject* RuntimeOf(ObjectId id);
 
-  /// Call-tree depth of `action` (0 = top-level). Traced path only.
-  uint32_t LevelOf(ActionId action) const;
+  /// Records the span of `ctx`'s action into tracer_. Caller checks
+  /// tracer_. `phases`, when non-empty, is a PhasesJson fragment
+  /// attached to the span (root-transaction spans only).
+  void TraceAction(const MethodContext& ctx, const std::string& name,
+                   uint64_t start, const char* outcome,
+                   std::string phases = {});
 
-  /// Records the span of `action` into tracer_. Caller checks tracer_.
-  /// `phases`, when non-empty, is a PhasesJson fragment attached to the
-  /// span (root-transaction spans only).
-  void TraceAction(ActionId action, ActionId parent, ObjectId obj,
-                   const std::string& name, uint64_t start,
-                   const char* outcome, std::string phases = {});
+  /// Publishes the record of `ctx`'s finished action, the one place an
+  /// action's end reaches the history. kRecorded stamps the action
+  /// (recorded when it started) in ts_; kEpochBatched appends one
+  /// ActionEvent to this thread's buffer. `timestamp` is a completed
+  /// primitive's Axiom 1 stamp, else 0. `inv` is moved into the event;
+  /// a top-level action's event carries its attempt name instead.
+  void FinishAction(const MethodContext& ctx, ActionEvent::Outcome outcome,
+                    uint32_t process, uint64_t timestamp, Invocation&& inv);
 
   /// Records, locks, and executes one call; the heart of the runtime.
   /// `parent_ctx` is the caller's context (the transaction body's for
@@ -335,14 +340,15 @@ class Database {
   /// process 0 is the default sequential process of every transaction.
   std::atomic<uint32_t> next_process_{1};
 
-  /// Epoch-batched history (null in kRecorded mode). Ids, Axiom 1
-  /// timestamps, and completion sequence numbers come from the atomic
-  /// counters below instead of the TransactionSystem.
+  /// Epoch-batched history (null in kRecorded mode). Its action ids and
+  /// completion sequence numbers come from the atomic counters below
+  /// instead of the TransactionSystem.
   std::unique_ptr<EpochLog> epoch_log_;
   EpochSink* epoch_sink_ = nullptr;
   std::atomic<uint64_t> next_action_{0};
-  std::atomic<uint64_t> next_timestamp_{0};
   std::atomic<uint64_t> next_completion_{0};
+  /// Axiom 1 timestamps in both modes, taken under the object latch.
+  std::atomic<uint64_t> next_timestamp_{0};
 
   /// Persistence engine, or null for the classic in-memory database.
   /// The WAL-off fast path costs one null test per event.
@@ -357,15 +363,15 @@ class Database {
   MetricsRegistry* metrics_ = nullptr;
   /// Per-phase latency histograms (null when metrics are detached);
   /// RunTransaction feeds one observation per finished root txn.
-  std::unique_ptr<PhaseHistograms> phase_hists_;
+  std::unique_ptr<PhaseHistograms> phase_histograms_;
   Counter* m_committed_ = nullptr;
   Counter* m_aborted_ = nullptr;
   Counter* m_deadlocks_ = nullptr;
   Counter* m_retries_ = nullptr;
-  Counter* m_conflicts_ = nullptr;
+  Counter* m_conflict_count_ = nullptr;
   Counter* m_operations_ = nullptr;
   Counter* m_epoch_flushes_ = nullptr;
-  Counter* m_epoch_events_ = nullptr;
+  Counter* m_epoch_event_count_ = nullptr;
 };
 
 }  // namespace oodb

@@ -23,6 +23,12 @@
 // sequence. Replay therefore reconstructs the same history the classic
 // recorder would have written, up to child order after parallel call
 // sets (normalized to id order) and label renumbering.
+//
+// The rest of the runtime is the same in both modes: the Database
+// builds a finished action's record in one place (FinishAction) and
+// only its destination differs, and the Axiom 1 timestamp comes from
+// the Database's one counter either way. Durability and tracing never
+// read the record mid-run, so both work with epoch-batched history.
 
 #pragma once
 

@@ -64,9 +64,7 @@ size_t ResolveShards(size_t requested) {
 
 }  // namespace
 
-LockManager::LockManager(const TransactionSystem* ts,
-                         LockManagerOptions options)
-    : ts_(ts), options_(options) {
+LockManager::LockManager(LockManagerOptions options) : options_(options) {
   size_t n = ResolveShards(options.shards);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
@@ -74,37 +72,27 @@ LockManager::LockManager(const TransactionSystem* ts,
 
 void LockManager::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
-    m_acquires_ = m_waits_ = m_deadlocks_ = nullptr;
+    m_acquires_ = m_wait_count_ = m_deadlocks_ = nullptr;
     m_wait_ns_ = nullptr;
     return;
   }
   m_acquires_ = registry->GetCounter("db.lock.acquires");
-  m_waits_ = registry->GetCounter("db.lock.waits");
+  m_wait_count_ = registry->GetCounter("db.lock.waits");
   m_deadlocks_ = registry->GetCounter("db.lock.deadlocks");
   m_wait_ns_ = registry->GetHistogram("db.lock.wait_ns");
 }
 
-bool LockManager::InSphere(ActionId holder, ActionId action,
-                           const SphereChain* chain) const {
-  if (chain != nullptr) {
-    for (size_t i = 0; i < chain->len; ++i) {
-      if (chain->ids[i] == holder) return true;
-    }
-    return false;
-  }
-  ActionId cur = action;
-  while (cur.valid()) {
-    if (cur == holder) return true;
-    cur = ts_->action(cur).parent;
+bool LockManager::InSphere(ActionId holder, const SphereChain& chain) {
+  for (size_t i = 0; i < chain.len; ++i) {
+    if (chain.ids[i] == holder) return true;
   }
   return false;
 }
 
 bool LockManager::Compatible(const Lock& lock, const ObjectType* type,
-                             const Invocation& inv, ActionId action,
-                             LockSemantics semantics,
-                             const SphereChain* chain) const {
-  if (InSphere(lock.holder, action, chain)) return true;
+                             const Invocation& inv, LockSemantics semantics,
+                             const SphereChain& chain) {
+  if (InSphere(lock.holder, chain)) return true;
   if (lock.semantics == LockSemantics::kExclusive ||
       semantics == LockSemantics::kExclusive) {
     return false;
@@ -115,14 +103,13 @@ bool LockManager::Compatible(const Lock& lock, const ObjectType* type,
 std::vector<uint64_t> LockManager::Blockers(const Shard& shard, ObjectId obj,
                                             const ObjectType* type,
                                             const Invocation& inv,
-                                            ActionId action,
                                             LockSemantics semantics,
-                                            const SphereChain* chain) const {
+                                            const SphereChain& chain) const {
   std::vector<uint64_t> blockers;
   auto it = shard.table.find(obj);
   if (it == shard.table.end()) return blockers;
   for (const Lock& lock : it->second) {
-    if (!Compatible(lock, type, inv, action, semantics, chain)) {
+    if (!Compatible(lock, type, inv, semantics, chain)) {
       // The holder moves only within the owner's call tree, so its
       // top-level transaction is the one recorded at acquire time.
       blockers.push_back(lock.top.value);
@@ -161,10 +148,10 @@ void LockManager::EraseWaitEdges(uint64_t requester_top) {
   waits_for_.erase(requester_top);
 }
 
-Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
-                            const Invocation& inv, ActionId action,
-                            ActionId top, LockSemantics semantics,
-                            bool hold_at_top, const SphereChain* chain) {
+Status LockManager::Acquire(ObjectId obj, const std::string& name,
+                            const ObjectType* type, const Invocation& inv,
+                            const SphereChain& chain, ActionId top,
+                            LockSemantics semantics, bool hold_at_top) {
   Shard& shard = *shards_[ShardOf(obj)];
   shard.acquires.fetch_add(1, std::memory_order_relaxed);
   if (m_acquires_) m_acquires_->Increment();
@@ -191,13 +178,13 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
   };
   for (;;) {
     std::vector<uint64_t> blockers =
-        Blockers(shard, obj, type, inv, action, semantics, chain);
+        Blockers(shard, obj, type, inv, semantics, chain);
     if (blockers.empty()) break;
     if (!waited) {
       shard.waits.fetch_add(1, std::memory_order_relaxed);
       ++shard.waits_per_object[obj.value];
       waited = true;
-      if (m_waits_) m_waits_->Increment();
+      if (m_wait_count_) m_wait_count_->Increment();
       wait_start = Clock::now();
       deadline = wait_start + options_.wait_timeout;
     }
@@ -211,8 +198,7 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
           EraseWaitEdges(top.value);
           observe_wait();
           return Status::Deadlock(
-              "wait-die: blocked by older transaction on " +
-              ts_->object(obj).name);
+              "wait-die: blocked by older transaction on " + name);
         }
       }
       std::lock_guard<std::mutex> graph(graph_mu_);
@@ -230,8 +216,7 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
         shard.deadlocks.fetch_add(1, std::memory_order_relaxed);
         if (m_deadlocks_) m_deadlocks_->Increment();
         observe_wait();
-        return Status::Deadlock("waits-for cycle on " +
-                                ts_->object(obj).name);
+        return Status::Deadlock("waits-for cycle on " + name);
       }
       auto& edges = waits_for_[top.value];
       edges.clear();
@@ -262,8 +247,7 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
       if (m_deadlocks_) m_deadlocks_->Increment();
       EraseWaitEdges(top.value);
       observe_wait();
-      return Status::Deadlock("lock wait timeout on " +
-                              ts_->object(obj).name);
+      return Status::Deadlock("lock wait timeout on " + name);
     }
   }
   if (waited) {
@@ -271,6 +255,7 @@ Status LockManager::Acquire(ObjectId obj, const ObjectType* type,
     observe_wait();
   }
 
+  const ActionId action = chain.ids[0];
   ActionId holder = hold_at_top ? top : action;
   auto& locks = shard.table[obj];
   locks.push_back(Lock{obj, type, inv, action, holder, top, semantics});

@@ -59,11 +59,14 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "model/transaction_system.h"
+#include "model/ids.h"
+#include "model/invocation.h"
+#include "model/object_type.h"
 #include "obs/metrics.h"
 #include "util/status.h"
 
@@ -103,10 +106,9 @@ struct LockManagerOptions {
 };
 
 /// The requester's call sphere as a flat id array: the acquiring action
-/// first, then its ancestors up to the top-level transaction. When the
-/// runtime passes one, sphere membership is a linear scan over ids the
-/// requesting thread owns — no walk of the shared TransactionSystem on
-/// the hot path. Optional: without it the manager walks `ts` as before.
+/// first, then its ancestors up to the top-level transaction. Sphere
+/// membership is a linear scan over ids the requesting thread owns, so
+/// the manager never reads the execution record.
 struct SphereChain {
   const ActionId* ids = nullptr;
   size_t len = 0;
@@ -131,23 +133,22 @@ class LockManager {
   /// The "visit every shard" mask for callers that do not track one.
   static constexpr uint64_t kAllShards = ~uint64_t{0};
 
-  /// `ts` provides the call-tree ancestry; it must outlive the manager.
-  LockManager(const TransactionSystem* ts, LockManagerOptions options = {});
+  explicit LockManager(LockManagerOptions options = {});
 
-  /// Acquires a lock on `obj` in mode `inv` for `action` (with top-level
-  /// transaction `top`). Blocks while incompatible locks exist. When
-  /// `hold_at_top` is true the lock is immediately anchored at the
-  /// top-level transaction (flat 2PL / strawman modes). `chain`, when
-  /// provided, replaces the TransactionSystem ancestry walk for sphere
-  /// checks (it must list `action` and its ancestors).
+  /// Acquires a lock on `obj` in mode `inv` for the requester `chain`
+  /// (its first id is the acquiring action, the rest its ancestors up to
+  /// the top-level transaction `top`). Blocks while incompatible locks
+  /// exist. When `hold_at_top` is true the lock is immediately anchored
+  /// at the top-level transaction (flat 2PL / strawman modes). `name`
+  /// is the object's name, quoted by the deadlock and timeout verdicts.
   ///
   /// Returns OK, or kDeadlock when waiting would close a waits-for cycle
   /// or exceed the timeout.
-  Status Acquire(ObjectId obj, const ObjectType* type, const Invocation& inv,
-                 ActionId action, ActionId top,
+  Status Acquire(ObjectId obj, const std::string& name,
+                 const ObjectType* type, const Invocation& inv,
+                 const SphereChain& chain, ActionId top,
                  LockSemantics semantics = LockSemantics::kCommutativity,
-                 bool hold_at_top = false,
-                 const SphereChain* chain = nullptr);
+                 bool hold_at_top = false);
 
   /// Lock pass-up at completion of `action`: locks passed up by its
   /// children are released; its own lock transfers to `parent`. An
@@ -279,22 +280,21 @@ class LockManager {
     std::atomic<uint64_t> wait_ns{0};
   };
 
-  /// True iff `holder` is `action` or one of its call ancestors.
-  bool InSphere(ActionId holder, ActionId action,
-                const SphereChain* chain) const;
+  /// True iff `holder` is in the requester's call sphere `chain`.
+  static bool InSphere(ActionId holder, const SphereChain& chain);
 
   /// True iff the requesting lock mode is compatible with `lock`.
-  bool Compatible(const Lock& lock, const ObjectType* type,
-                  const Invocation& inv, ActionId action,
-                  LockSemantics semantics, const SphereChain* chain) const;
+  static bool Compatible(const Lock& lock, const ObjectType* type,
+                         const Invocation& inv, LockSemantics semantics,
+                         const SphereChain& chain);
 
   /// Collects the top-level transactions of all incompatible holders.
   /// Requires the shard's mu held.
   std::vector<uint64_t> Blockers(const Shard& shard, ObjectId obj,
                                  const ObjectType* type,
-                                 const Invocation& inv, ActionId action,
+                                 const Invocation& inv,
                                  LockSemantics semantics,
-                                 const SphereChain* chain) const;
+                                 const SphereChain& chain) const;
 
   /// True iff adding requester->blockers edges would close a cycle in
   /// the waits-for graph. Requires graph_mu_ held.
@@ -311,7 +311,6 @@ class LockManager {
   void MoveHolder(Shard* shard, Lock* lock, ActionId new_holder);
   void EraseLock(Shard* shard, Lock* lock);
 
-  const TransactionSystem* ts_;
   LockManagerOptions options_;
 
   /// Stripes; unique_ptr keeps each shard's latch and condvar off its
@@ -327,7 +326,7 @@ class LockManager {
   /// Cached registry metrics; all null when detached (the fast path
   /// then costs one predictable branch per event).
   Counter* m_acquires_ = nullptr;
-  Counter* m_waits_ = nullptr;
+  Counter* m_wait_count_ = nullptr;
   Counter* m_deadlocks_ = nullptr;
   HistogramMetric* m_wait_ns_ = nullptr;
 };

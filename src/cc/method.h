@@ -148,7 +148,9 @@ class MethodContext {
                 const ObjectType* self_type = nullptr)
       : db_(db), action_(action), self_(self), raw_state_(raw_state),
         latch_(latch), parent_(parent), self_type_(self_type),
-        top_(parent == nullptr ? action : parent->top_) {}
+        top_(parent == nullptr ? action : parent->top_),
+        top_name_(parent == nullptr ? nullptr : parent->top_name_),
+        depth_(parent == nullptr ? 0 : parent->depth_ + 1) {}
 
   Database* db_;
   ActionId action_;
@@ -166,6 +168,13 @@ class MethodContext {
   const ObjectType* self_type_;
   /// Cached root of the call tree.
   ActionId top_;
+  /// Name of the top-level attempt (e.g. "T1#r2"), owned by
+  /// RunTransaction for the attempt's life. With `depth_` and the
+  /// object's runtime record it gives the WAL and the tracer everything
+  /// they need without reading the shared TransactionSystem mid-run.
+  const std::string* top_name_;
+  /// Call depth: 0 for the transaction body, parent's + 1 below.
+  uint32_t depth_;
   /// Shards in which this action (or its completed children, passed up)
   /// may hold locks — a conservative superset, folded into the parent
   /// at completion. Atomic: CallParallel branches complete concurrently.

@@ -98,7 +98,6 @@ int TraceMain(int argc, char** argv) {
         Harness::Run(&db, config, EncyclopediaMix(CreateMixWorld(&db)));
     std::fprintf(stderr, "mix: %s\n", result.Row().c_str());
   }
-  db.counters().PublishTo(&registry);
 
   if (!no_validate) {
     ValidationOptions voptions;

@@ -63,9 +63,6 @@ HarnessResult Harness::Run(Database* db, const HarnessConfig& config,
   result.operations = db->counters().operations.load();
   result.lock_waits = db->locks().wait_count() - waits_before;
   result.latency_ns = latency.Snapshot();
-  if (config.metrics != nullptr) {
-    db->counters().PublishTo(config.metrics);
-  }
   return result;
 }
 

@@ -261,18 +261,6 @@ TEST(RunCountersTest, ResetZeroes) {
   EXPECT_EQ(c.retries.load(), 0u);
 }
 
-TEST(RunCountersTest, PublishToSetsRunGauges) {
-  RunCounters c;
-  c.committed = 7;
-  c.operations = 41;
-  MetricsRegistry registry;
-  c.PublishTo(&registry);
-  EXPECT_EQ(registry.GetGauge("run.committed")->Value(), 7);
-  EXPECT_EQ(registry.GetGauge("run.operations")->Value(), 41);
-  EXPECT_EQ(registry.GetGauge("run.aborted")->Value(), 0);
-  c.PublishTo(nullptr);  // no-op, must not crash
-}
-
 TEST(DatabaseTest, AttachObservabilityMirrorsCounters) {
   MetricsRegistry registry;
   Tracer tracer;

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "model/transaction_system.h"
 #include "paper_types.h"
 
 namespace oodb {
@@ -32,13 +33,31 @@ struct World {
   }
 };
 
+/// Acquires as the runtime does: the caller supplies the object's name
+/// and the requester's call sphere (`action`, then its ancestors), both
+/// read here from `w.ts`. Record every action before starting threads
+/// that call this, so the reads never race an append.
+Status Acquire(LockManager& lm, const World& w, ObjectId obj,
+               const ObjectType* type, const Invocation& inv,
+               ActionId action, ActionId top,
+               LockSemantics semantics = LockSemantics::kCommutativity,
+               bool hold_at_top = false) {
+  std::vector<ActionId> chain;
+  for (ActionId cur = action; cur.valid(); cur = w.ts.action(cur).parent) {
+    chain.push_back(cur);
+  }
+  return lm.Acquire(obj, w.ts.object(obj).name, type, inv,
+                    SphereChain{chain.data(), chain.size()}, top, semantics,
+                    hold_at_top);
+}
+
 TEST(LockManagerTest, CommutingLocksGrantImmediately) {
   World w;
-  LockManager lm(&w.ts);
+  LockManager lm;
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
   ActionId b = w.ts.Call(w.t2, w.leaf, Ins("y"));
-  EXPECT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
-  EXPECT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("y"), b, w.t2).ok());
+  EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("y"), b, w.t2).ok());
   EXPECT_EQ(lm.LockCount(), 2u);
   EXPECT_EQ(lm.wait_count(), 0u);
 }
@@ -47,14 +66,14 @@ TEST(LockManagerTest, ConflictBlocksUntilRelease) {
   World w;
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(2000);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
   ActionId b = w.ts.Call(w.t2, w.leaf, Ins("x"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
 
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    Status st = lm.Acquire(w.leaf, LeafType(), Ins("x"), b, w.t2);
+    Status st = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), b, w.t2);
     granted = st.ok();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -71,12 +90,12 @@ TEST(LockManagerTest, SphereAllowsDescendants) {
   // A child action may acquire a mode conflicting with a lock held by
   // its own ancestor.
   World w;
-  LockManager lm(&w.ts);
+  LockManager lm;
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   ActionId split = w.ts.Call(a, w.leaf, Invocation("rearrange"));
-  EXPECT_TRUE(lm.Acquire(w.leaf, LeafType(), Invocation("rearrange"), split,
-                         w.t1)
+  EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Invocation("rearrange"),
+                      split, w.t1)
                   .ok());
 }
 
@@ -86,29 +105,29 @@ TEST(LockManagerTest, PassUpKeepsBlockingNonDescendants) {
   World w;
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(100);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   lm.OnActionComplete(a, w.t1);  // lock now retained by T1
   EXPECT_EQ(lm.LockCount(), 1u);
 
   // Commuting request: granted.
   ActionId b = w.ts.Call(w.t2, w.leaf, Ins("y"));
-  EXPECT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("y"), b, w.t2).ok());
+  EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("y"), b, w.t2).ok());
   // Conflicting request: times out (T1 never commits in this test).
   ActionId c = w.ts.Call(w.t2, w.leaf, Ins("x"));
-  Status st = lm.Acquire(w.leaf, LeafType(), Ins("x"), c, w.t2);
+  Status st = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), c, w.t2);
   EXPECT_TRUE(st.IsDeadlock());  // timeout surfaces as deadlock
 }
 
 TEST(LockManagerTest, TopLevelCompletionReleasesEverything) {
   World w;
-  LockManager lm(&w.ts);
+  LockManager lm;
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
   ActionId p = w.ts.Call(a, w.page, Invocation("write"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   ASSERT_TRUE(
-      lm.Acquire(w.page, PageType(), Invocation("write"), p, w.t1).ok());
+      Acquire(lm, w, w.page, PageType(), Invocation("write"), p, w.t1).ok());
   // p completes -> its lock passes to a; the page lock is owned by p.
   lm.OnActionComplete(p, a);
   EXPECT_EQ(lm.LockCount(), 2u);
@@ -125,20 +144,20 @@ TEST(LockManagerTest, EarlyPageLockReleaseIsTheOpenNestedWin) {
   // T2's page write must be granted as soon as T1's *leaf insert*
   // completes, long before T1 commits.
   World w;
-  LockManager lm(&w.ts);
+  LockManager lm;
   ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
   ActionId p1 = w.ts.Call(a1, w.page, Invocation("write"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
   ASSERT_TRUE(
-      lm.Acquire(w.page, PageType(), Invocation("write"), p1, w.t1).ok());
+      Acquire(lm, w, w.page, PageType(), Invocation("write"), p1, w.t1).ok());
   lm.OnActionComplete(p1, a1);
   lm.OnActionComplete(a1, w.t1);  // leaf insert done; page lock gone
 
   ActionId a2 = w.ts.Call(w.t2, w.leaf, Ins("y"));
   ActionId p2 = w.ts.Call(a2, w.page, Invocation("write"));
-  EXPECT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("y"), a2, w.t2).ok());
+  EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("y"), a2, w.t2).ok());
   EXPECT_TRUE(
-      lm.Acquire(w.page, PageType(), Invocation("write"), p2, w.t2).ok());
+      Acquire(lm, w, w.page, PageType(), Invocation("write"), p2, w.t2).ok());
   EXPECT_EQ(lm.wait_count(), 0u);  // nobody ever blocked
 }
 
@@ -147,21 +166,21 @@ TEST(LockManagerTest, FlatHoldAtTopBlocksUntilCommit) {
   World w;
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(100);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
   ActionId p1 = w.ts.Call(a1, w.page, Invocation("write"));
-  ASSERT_TRUE(lm.Acquire(w.page, PageType(), Invocation("write"), p1, w.t1,
-                         LockSemantics::kCommutativity,
-                         /*hold_at_top=*/true)
+  ASSERT_TRUE(Acquire(lm, w, w.page, PageType(), Invocation("write"), p1,
+                      w.t1, LockSemantics::kCommutativity,
+                      /*hold_at_top=*/true)
                   .ok());
   lm.OnActionComplete(p1, a1);
   lm.OnActionComplete(a1, w.t1);
 
   ActionId a2 = w.ts.Call(w.t2, w.leaf, Ins("y"));
   ActionId p2 = w.ts.Call(a2, w.page, Invocation("write"));
-  Status st = lm.Acquire(w.page, PageType(), Invocation("write"), p2, w.t2,
-                         LockSemantics::kCommutativity,
-                         /*hold_at_top=*/true);
+  Status st = Acquire(lm, w, w.page, PageType(), Invocation("write"), p2,
+                      w.t2, LockSemantics::kCommutativity,
+                      /*hold_at_top=*/true);
   EXPECT_TRUE(st.IsDeadlock());  // would wait for T1's commit; times out
 }
 
@@ -169,14 +188,14 @@ TEST(LockManagerTest, ExclusiveSemanticsConflictEvenWhenCommuting) {
   World w;
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(100);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
   ActionId b = w.ts.Call(w.t2, w.leaf, Ins("y"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1,
-                         LockSemantics::kExclusive, true)
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1,
+                      LockSemantics::kExclusive, true)
                   .ok());
-  Status st = lm.Acquire(w.leaf, LeafType(), Ins("y"), b, w.t2,
-                         LockSemantics::kExclusive, true);
+  Status st = Acquire(lm, w, w.leaf, LeafType(), Ins("y"), b, w.t2,
+                      LockSemantics::kExclusive, true);
   EXPECT_TRUE(st.IsDeadlock());
 }
 
@@ -186,26 +205,26 @@ TEST(LockManagerTest, DeadlockDetectedOnCycle) {
   World w;
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(5000);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
   ActionId b2 = w.ts.Call(w.t2, w.page, Invocation("write"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
+  ActionId p1 = w.ts.Call(w.t1, w.page, Invocation("write"));
+  ActionId l2 = w.ts.Call(w.t2, w.leaf, Ins("x"));
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
   ASSERT_TRUE(
-      lm.Acquire(w.page, PageType(), Invocation("write"), b2, w.t2).ok());
+      Acquire(lm, w, w.page, PageType(), Invocation("write"), b2, w.t2).ok());
 
   std::atomic<bool> t1_done{false};
   Status t1_status;
   std::thread t1_thread([&] {
-    ActionId p1 = w.ts.Call(w.t1, w.page, Invocation("write"));
-    t1_status = lm.Acquire(w.page, PageType(), Invocation("write"), p1,
-                           w.t1);
+    t1_status =
+        Acquire(lm, w, w.page, PageType(), Invocation("write"), p1, w.t1);
     t1_done = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_FALSE(t1_done.load());
 
-  ActionId l2 = w.ts.Call(w.t2, w.leaf, Ins("x"));
-  Status t2_status = lm.Acquire(w.leaf, LeafType(), Ins("x"), l2, w.t2);
+  Status t2_status = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), l2, w.t2);
   EXPECT_TRUE(t2_status.IsDeadlock());
   EXPECT_GE(lm.deadlock_count(), 1u);
 
@@ -225,17 +244,18 @@ TEST(LockManagerTest, SpinHandoffGrantsPromptlyAndCountsOneWait) {
   World w;
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(1000);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   const size_t s = lm.ShardOf(w.page);
   ActionId a = w.ts.Call(w.t1, w.page, Invocation("write"));
   ActionId b = w.ts.Call(w.t2, w.page, Invocation("write"));
   for (int round = 0; round < kRounds; ++round) {
-    ASSERT_TRUE(
-        lm.Acquire(w.page, PageType(), Invocation("write"), a, w.t1).ok());
+    ASSERT_TRUE(Acquire(lm, w, w.page, PageType(), Invocation("write"), a,
+                        w.t1)
+                    .ok());
     Status waiter_status;
     std::thread waiter([&] {
       waiter_status =
-          lm.Acquire(w.page, PageType(), Invocation("write"), b, w.t2);
+          Acquire(lm, w, w.page, PageType(), Invocation("write"), b, w.t2);
     });
     // Busy-poll: a yield here usually lets the spin budget run out
     // before the release lands.
@@ -256,13 +276,14 @@ TEST(LockManagerTest, WaitTimeoutCoversTheSpin) {
   World w;
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(20);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   ActionId a = w.ts.Call(w.t1, w.page, Invocation("write"));
   ActionId b = w.ts.Call(w.t2, w.page, Invocation("write"));
   ASSERT_TRUE(
-      lm.Acquire(w.page, PageType(), Invocation("write"), a, w.t1).ok());
+      Acquire(lm, w, w.page, PageType(), Invocation("write"), a, w.t1).ok());
   auto start = std::chrono::steady_clock::now();
-  Status st = lm.Acquire(w.page, PageType(), Invocation("write"), b, w.t2);
+  Status st =
+      Acquire(lm, w, w.page, PageType(), Invocation("write"), b, w.t2);
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_TRUE(st.IsDeadlock());
   EXPECT_NE(st.message().find("lock wait timeout"), std::string::npos);
@@ -280,7 +301,7 @@ TEST(LockManagerTest, ConflictingWritersExcludeEachOther) {
   World w;
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::seconds(60);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   std::vector<ActionId> tops, actions;
   for (int i = 0; i < kThreads; ++i) {
     tops.push_back(w.ts.BeginTopLevel("W" + std::to_string(i)));
@@ -292,8 +313,8 @@ TEST(LockManagerTest, ConflictingWritersExcludeEachOther) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
       for (int c = 0; c < kCycles; ++c) {
-        if (!lm.Acquire(w.page, PageType(), Invocation("write"), actions[i],
-                        tops[i])
+        if (!Acquire(lm, w, w.page, PageType(), Invocation("write"),
+                     actions[i], tops[i])
                  .ok()) {
           failures.fetch_add(1);
           return;
@@ -319,14 +340,16 @@ TEST(LockManagerTest, DeadlockDetectedWhenBothRequestersBlockAtOnce) {
     World w;
     LockManagerOptions opts;
     opts.wait_timeout = std::chrono::milliseconds(5000);
-    LockManager lm(&w.ts, opts);
+    LockManager lm(opts);
     ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
     ActionId b2 = w.ts.Call(w.t2, w.page, Invocation("write"));
     ActionId p1 = w.ts.Call(w.t1, w.page, Invocation("write"));
     ActionId l2 = w.ts.Call(w.t2, w.leaf, Ins("x"));
-    ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
     ASSERT_TRUE(
-        lm.Acquire(w.page, PageType(), Invocation("write"), b2, w.t2).ok());
+        Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
+    ASSERT_TRUE(Acquire(lm, w, w.page, PageType(), Invocation("write"), b2,
+                        w.t2)
+                    .ok());
 
     std::atomic<int> ready{0};
     auto start_together = [&] {
@@ -338,12 +361,13 @@ TEST(LockManagerTest, DeadlockDetectedWhenBothRequestersBlockAtOnce) {
     Status s1, s2;
     std::thread t1([&] {
       start_together();
-      s1 = lm.Acquire(w.page, PageType(), Invocation("write"), p1, w.t1);
+      s1 =
+          Acquire(lm, w, w.page, PageType(), Invocation("write"), p1, w.t1);
       if (s1.IsDeadlock()) lm.ReleaseAllHeldBy(a1);
     });
     std::thread t2([&] {
       start_together();
-      s2 = lm.Acquire(w.leaf, LeafType(), Ins("x"), l2, w.t2);
+      s2 = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), l2, w.t2);
       if (s2.IsDeadlock()) lm.ReleaseAllHeldBy(b2);
     });
     t1.join();
@@ -360,11 +384,11 @@ TEST(LockManagerTest, WaitDieYoungerRequesterDies) {
   World w;  // t1 created before t2: t1 is older
   LockManagerOptions opts;
   opts.deadlock_policy = DeadlockPolicy::kWaitDie;
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   ActionId b = w.ts.Call(w.t2, w.leaf, Ins("x"));
-  Status st = lm.Acquire(w.leaf, LeafType(), Ins("x"), b, w.t2);
+  Status st = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), b, w.t2);
   EXPECT_TRUE(st.IsDeadlock());
   EXPECT_NE(st.message().find("wait-die"), std::string::npos);
   EXPECT_EQ(lm.deadlock_count(), 1u);
@@ -375,14 +399,14 @@ TEST(LockManagerTest, WaitDieOlderRequesterWaits) {
   LockManagerOptions opts;
   opts.deadlock_policy = DeadlockPolicy::kWaitDie;
   opts.wait_timeout = std::chrono::milliseconds(2000);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   // Younger t2 holds; older t1 must wait, then get the lock.
   ActionId b = w.ts.Call(w.t2, w.leaf, Ins("x"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), b, w.t2).ok());
+  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), b, w.t2).ok());
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-    granted = lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok();
+    granted = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(granted.load());
@@ -399,14 +423,14 @@ TEST(LockManagerTest, WaitDieAllowsIntraTransactionWaits) {
   LockManagerOptions opts;
   opts.deadlock_policy = DeadlockPolicy::kWaitDie;
   opts.wait_timeout = std::chrono::milliseconds(2000);
-  LockManager lm(&w.ts, opts);
+  LockManager lm(opts);
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"), false);
   ActionId b = w.ts.Call(w.t1, w.leaf, Ins("x"), false);
   w.ts.SetProcess(b, 1);
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    granted = lm.Acquire(w.leaf, LeafType(), Ins("x"), b, w.t1).ok();
+    granted = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), b, w.t1).ok();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(granted.load());
@@ -422,9 +446,9 @@ TEST(LockManagerTest, PolicyNames) {
 
 TEST(LockManagerTest, ReleaseAllHeldByCleansUp) {
   World w;
-  LockManager lm(&w.ts);
+  LockManager lm;
   ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ASSERT_TRUE(lm.Acquire(w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   lm.OnActionComplete(a, w.t1);
   lm.ReleaseAllHeldBy(w.t1);
   EXPECT_EQ(lm.LockCount(), 0u);

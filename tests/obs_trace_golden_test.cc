@@ -127,7 +127,6 @@ TEST(GoldenTraceTest, MetricsSnapshotCoversRuntimeAndEngine) {
                   return txn.Call(enc,
                                   Encyclopedia::Insert("DBS", "d"));
                 }).ok());
-  db.counters().PublishTo(&registry);
 
   ValidationOptions options;
   options.metrics = &registry;
@@ -137,11 +136,9 @@ TEST(GoldenTraceTest, MetricsSnapshotCoversRuntimeAndEngine) {
   std::string json = registry.JsonSnapshot();
   EXPECT_NE(json.find("db.lock.acquires"), std::string::npos);
   EXPECT_NE(json.find("db.txn.committed"), std::string::npos);
-  EXPECT_NE(json.find("run.committed"), std::string::npos);
   EXPECT_NE(json.find("dep.stage.fixpoint_ns"), std::string::npos);
   EXPECT_NE(json.find("validate.oo_serializable"), std::string::npos);
   EXPECT_EQ(registry.GetGauge("validate.oo_serializable")->Value(), 1);
-  EXPECT_EQ(registry.GetGauge("run.committed")->Value(), 1);
 }
 
 }  // namespace

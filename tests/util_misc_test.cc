@@ -58,30 +58,30 @@ TEST(StopwatchTest, RestartResets) {
 }
 
 TEST(ContentionReportTest, HottestObjectsRanked) {
-  TransactionSystem ts;
-  ObjectId hot = ts.AddObject(testing::LeafType(), "Hot");
-  ObjectId cold = ts.AddObject(testing::LeafType(), "Cold");
+  const ObjectId hot(1);
+  const ObjectId cold(2);
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(20);
-  LockManager lm(&ts, opts);
+  LockManager lm(opts);
 
-  Invocation ins("insert", {Value("k")});
-  ActionId t1 = ts.BeginTopLevel("T1");
-  ActionId holder = ts.Call(t1, hot, ins);
-  ASSERT_TRUE(lm.Acquire(hot, testing::LeafType(), ins, holder, t1).ok());
+  // Each request comes from a child action of a top-level transaction;
+  // its call sphere is {action, top}.
+  const Invocation ins("insert", {Value("k")});
+  const ActionId t1(0);
+  const ActionId t2(1);
+  uint64_t next_action = 2;
+  auto acquire = [&](ObjectId obj, ActionId top) {
+    const ActionId chain[] = {ActionId(next_action++), top};
+    return lm.Acquire(obj, obj == hot ? "Hot" : "Cold", testing::LeafType(),
+                      ins, SphereChain{chain, 2}, top);
+  };
+  ASSERT_TRUE(acquire(hot, t1).ok());
   // Three timed-out waits on the hot object, one on the cold one.
-  ActionId t2 = ts.BeginTopLevel("T2");
   for (int i = 0; i < 3; ++i) {
-    ActionId a = ts.Call(t2, hot, ins);
-    EXPECT_TRUE(
-        lm.Acquire(hot, testing::LeafType(), ins, a, t2).IsDeadlock());
+    EXPECT_TRUE(acquire(hot, t2).IsDeadlock());
   }
-  ActionId cold_holder = ts.Call(t1, cold, ins);
-  ASSERT_TRUE(
-      lm.Acquire(cold, testing::LeafType(), ins, cold_holder, t1).ok());
-  ActionId b = ts.Call(t2, cold, ins);
-  EXPECT_TRUE(
-      lm.Acquire(cold, testing::LeafType(), ins, b, t2).IsDeadlock());
+  ASSERT_TRUE(acquire(cold, t1).ok());
+  EXPECT_TRUE(acquire(cold, t2).IsDeadlock());
 
   auto rows = lm.HottestObjects();
   ASSERT_EQ(rows.size(), 2u);
@@ -96,8 +96,7 @@ TEST(ContentionReportTest, HottestObjectsRanked) {
 }
 
 TEST(ContentionReportTest, EmptyWhenNoWaits) {
-  TransactionSystem ts;
-  LockManager lm(&ts);
+  LockManager lm;
   EXPECT_TRUE(lm.HottestObjects().empty());
 }
 
