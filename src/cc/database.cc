@@ -98,9 +98,7 @@ DatabaseOptions ResolveOptions(DatabaseOptions o) {
   }
   if (n > LockManager::kMaxShards) n = LockManager::kMaxShards;
   o.shards = n;
-  // The lock table follows the runtime shard count unless the caller
-  // configured it explicitly.
-  if (o.lock_options.shards == 1) o.lock_options.shards = n;
+  o.lock_options.shards = n;
   return o;
 }
 

@@ -127,9 +127,9 @@ struct DatabaseOptions {
   /// reproducible run to run. 0 keeps the per-thread seeding (distinct
   /// every run), which spreads contending threads better.
   uint64_t backoff_seed = 0;
-  /// Runtime shards: partitions the object map and (unless
-  /// lock_options.shards was set explicitly) the lock table. 1 = the
-  /// classic single-shard runtime; 0 = hardware thread count. Capped at
+  /// Runtime shards: partitions the object map and the lock table (the
+  /// resolved count replaces lock_options.shards). 1 = the classic
+  /// single-shard runtime; 0 = hardware thread count. Capped at
   /// LockManager::kMaxShards.
   size_t shards = 1;
   HistoryMode history = HistoryMode::kRecorded;

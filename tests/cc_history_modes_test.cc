@@ -7,6 +7,11 @@
 // ThreadSanitizer it reports a data race as soon as a WAL record or a
 // span is built from the TransactionSystem while other threads append
 // actions and create objects (bucket splits) to it.
+//
+// The last two tests pin the default (kRecorded) mode's history
+// contract: span ids are ts() action ids under concurrency, and a read
+// of ts() taken while a transaction still runs drops and misplaces
+// nothing.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +25,13 @@
 #include <vector>
 
 #include "containers/directory.h"
+#include "containers/escrow.h"
 #include "containers/hash_index.h"
 #include "containers/page_ops.h"
 #include "containers/persist.h"
 #include "obs/trace.h"
+#include "schedule/history_io.h"
+#include "schedule/validator.h"
 #include "storage/recovery.h"
 #include "storage/walinspect.h"
 #include "workload/paper_worlds.h"
@@ -231,6 +239,139 @@ TEST_F(HistoryModesTest, RecoveredRootsAreIdenticalInBothModes) {
   EXPECT_EQ(recorded.recovered_dump.find("gone"), std::string::npos);
   EXPECT_EQ(recorded.recovered_dump, recorded.live_dump);
   EXPECT_EQ(recorded.recovered_dump, epoch.recovered_dump);
+}
+
+TEST_F(HistoryModesTest, SpanIdsAreActionIdsUnderConcurrency) {
+  // Four threads in the default mode, traced. Threads 0 and 1 each take
+  // a deposit lock and then, once both hold one, read the other's
+  // account: a forced deadlock on the first attempt, so one of them
+  // aborts (its deposit compensated) and retries. Threads 2 and 3 run
+  // independent transfers on their own accounts, and thread 2 aborts
+  // one transaction voluntarily.
+  Database db;
+  Tracer tracer;
+  db.AttachObservability(nullptr, &tracer);
+  RegisterAccountMethods(&db, EscrowAccountType());
+  std::vector<ObjectId> accounts;
+  for (int i = 0; i < 6; ++i) {
+    accounts.push_back(CreateAccount(&db, EscrowAccountType(),
+                                     "A" + std::to_string(i), 100));
+  }
+  auto deposit = [](int64_t amount) {
+    return Invocation("deposit", {Value(amount)});
+  };
+  std::atomic<int> holding{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      bool first_attempt = true;
+      Status st = db.RunTransaction(
+          "Cross" + std::to_string(t), [&](MethodContext& txn) {
+            OODB_RETURN_IF_ERROR(txn.Call(accounts[t], deposit(1)));
+            if (first_attempt) {
+              first_attempt = false;
+              holding.fetch_add(1);
+              while (holding.load() < 2) std::this_thread::yield();
+            }
+            return txn.Call(accounts[1 - t], Invocation("balance"));
+          });
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    });
+  }
+  for (int t = 2; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const ObjectId from = accounts[t];
+      const ObjectId to = accounts[t + 2];
+      for (int i = 0; i < 20; ++i) {
+        const bool abort = t == 2 && i == 7;
+        Status st = db.RunTransaction(
+            "Move" + std::to_string(t), [&](MethodContext& txn) {
+              OODB_RETURN_IF_ERROR(
+                  txn.Call(from, Invocation("withdraw", {Value(1)})));
+              OODB_RETURN_IF_ERROR(txn.Call(to, deposit(1)));
+              if (abort) return Status::Aborted("voluntary");
+              return Status::OK();
+            });
+        EXPECT_EQ(st.ok(), !abort) << st.ToString();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_GE(db.counters().retries.load(), 1u);
+  EXPECT_GE(db.counters().aborted.load(), 2u);
+
+  const std::vector<TraceSpan> spans = tracer.Spans();
+  TransactionSystem& ts = db.ts();
+  ASSERT_EQ(ts.action_count(), spans.size());
+  std::vector<bool> seen(spans.size(), false);
+  for (const TraceSpan& span : spans) {
+    ASSERT_LT(span.id, ts.action_count());
+    EXPECT_FALSE(seen[span.id]) << "span id " << span.id << " repeats";
+    seen[span.id] = true;
+    const ActionRecord& action = ts.action(ActionId(span.id));
+    SCOPED_TRACE(ts.Describe(action.id));
+    EXPECT_EQ(action.parent.value, span.parent);
+    EXPECT_EQ(action.top_level.value, span.txn);
+    EXPECT_EQ(action.object.value, span.parent == ActionId::kInvalid
+                                       ? ObjectId::kSystem
+                                       : span.object);
+  }
+}
+
+TEST_F(HistoryModesTest, MidRunReadOfRecordedHistoryDropsNothing) {
+  Database db;
+  RegisterAccountMethods(&db, EscrowAccountType());
+  const ObjectId held = CreateAccount(&db, EscrowAccountType(), "H", 100);
+  const ObjectId other = CreateAccount(&db, EscrowAccountType(), "O", 100);
+  auto deposit_into = [](ObjectId account) {
+    return [account](MethodContext& txn) {
+      return txn.Call(account, Invocation("deposit", {Value(1)}));
+    };
+  };
+  // Ids 0-3: two transactions finished before the held one starts.
+  ASSERT_TRUE(db.RunTransaction("Before", deposit_into(other)).ok());
+  ASSERT_TRUE(db.RunTransaction("Before", deposit_into(other)).ok());
+
+  // The held transaction (id 4) completes one deposit (id 5), then
+  // blocks inside its body until released.
+  std::atomic<bool> blocked{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    Status st = db.RunTransaction("Held", [&](MethodContext& txn) {
+      OODB_RETURN_IF_ERROR(deposit_into(held)(txn));
+      blocked = true;
+      while (!release) std::this_thread::yield();
+      return deposit_into(held)(txn);
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  });
+  while (!blocked) std::this_thread::yield();
+  constexpr size_t kAfter = 3;  // ids 6-11, finished while 4 runs
+  for (size_t i = 0; i < kAfter; ++i) {
+    ASSERT_TRUE(db.RunTransaction("After", deposit_into(other)).ok());
+  }
+  // Every action called so far is in the record, the running
+  // transaction and its finished child included.
+  EXPECT_EQ(db.ts().action_count(), 4 + 2 + 2 * kAfter);
+  release = true;
+  holder.join();
+
+  const size_t handed_out = 4 + 3 + 2 * kAfter;
+  TransactionSystem& ts = db.ts();
+  EXPECT_EQ(ts.action_count(), handed_out);
+  const ActionRecord& root = ts.action(ActionId(4));
+  EXPECT_EQ(root.invocation.method, "Held");
+  ASSERT_EQ(root.children.size(), 2u);
+  EXPECT_EQ(root.children[0], ActionId(5));
+  EXPECT_EQ(root.children[1], ActionId(handed_out - 1));
+  const Result<std::string> first = HistoryIo::Dump(ts);
+  ASSERT_TRUE(first.ok());
+  const Result<std::string> second = HistoryIo::Dump(db.ts());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*first, *second);
+  EXPECT_EQ(db.ts().action_count(), handed_out);
+  ValidationReport report = Validator::Validate(&db.ts());
+  EXPECT_TRUE(report.oo_serializable) << report.Summary();
 }
 
 }  // namespace

@@ -223,6 +223,7 @@ TEST(ShardedEquivalenceTest, ShardResolutionCapsAndDefaults) {
   Database db2(hw);
   EXPECT_GE(db2.shard_count(), 1u);
   EXPECT_LE(db2.shard_count(), LockManager::kMaxShards);
+  EXPECT_EQ(db2.locks().shard_count(), db2.shard_count());
 }
 
 }  // namespace
