@@ -23,6 +23,8 @@ std::vector<Diagnostic> CheckLockConformance(
   const ActionId t2(1);
   const SphereChain holder{&t1, 1};
   const SphereChain requester{&t2, 1};
+  LockManager::HeldLocks t1_locks(t1);
+  LockManager::HeldLocks t2_locks(t2);
 
   LockManagerOptions lm_options;
   lm_options.wait_timeout = std::chrono::milliseconds(0);
@@ -45,17 +47,17 @@ std::vector<Diagnostic> CheckLockConformance(
       const bool expected = reference.Commutes(a, b);
 
       // Commutativity semantics: admit iff the pair commutes.
-      Status held = lm.Acquire(obj, name, type, a, holder, t1);
+      Status held = lm.Acquire(obj, name, type, a, holder, t1, &t1_locks);
       if (!held.ok()) {
         Report("held", Severity::kError, a, b,
                "could not seed the probe lock on an empty table: " +
                    held.ToString());
-        lm.ReleaseAllHeldBy(t1);
+        lm.Release(&t1_locks);
         continue;
       }
       const bool admitted =
-          lm.Acquire(obj, name, type, b, requester, t2).ok();
-      lm.ReleaseAllHeldBy(t2);
+          lm.Acquire(obj, name, type, b, requester, t2, &t2_locks).ok();
+      lm.Release(&t2_locks);
       if (admitted && !expected) {
         Report("admit", Severity::kError, a, b,
                "lock table admits " + b.ToString() + " while " +
@@ -71,30 +73,30 @@ std::vector<Diagnostic> CheckLockConformance(
       }
 
       // Sphere rule: the holder itself never blocks (t1 re-requesting).
-      if (!lm.Acquire(obj, name, type, b, holder, t1).ok()) {
+      if (!lm.Acquire(obj, name, type, b, holder, t1, &t1_locks).ok()) {
         Report("sphere", Severity::kError, a, b,
                "holder blocked on its own sphere: " + b.ToString() +
                    " from the same action that holds " + a.ToString());
       }
-      lm.ReleaseAllHeldBy(t1);
+      lm.Release(&t1_locks);
 
       // Exclusive strawman held: everything outside the sphere blocks.
-      held = lm.Acquire(obj, name, type, a, holder, t1,
+      held = lm.Acquire(obj, name, type, a, holder, t1, &t1_locks,
                         LockSemantics::kExclusive);
       if (held.ok()) {
-        if (lm.Acquire(obj, name, type, b, requester, t2).ok()) {
+        if (lm.Acquire(obj, name, type, b, requester, t2, &t2_locks).ok()) {
           Report("excl-held", Severity::kError, a, b,
                  "an exclusive lock on " + a.ToString() +
                      " failed to block " + b.ToString());
         }
-        lm.ReleaseAllHeldBy(t2);
+        lm.Release(&t2_locks);
       }
-      lm.ReleaseAllHeldBy(t1);
+      lm.Release(&t1_locks);
 
       // Exclusive request against a held commutativity lock.
-      held = lm.Acquire(obj, name, type, a, holder, t1);
+      held = lm.Acquire(obj, name, type, a, holder, t1, &t1_locks);
       if (held.ok()) {
-        if (lm.Acquire(obj, name, type, b, requester, t2,
+        if (lm.Acquire(obj, name, type, b, requester, t2, &t2_locks,
                        LockSemantics::kExclusive)
                 .ok()) {
           Report("excl-req", Severity::kError, a, b,
@@ -102,9 +104,9 @@ std::vector<Diagnostic> CheckLockConformance(
                      " was admitted although " + a.ToString() +
                      " is held by another transaction");
         }
-        lm.ReleaseAllHeldBy(t2);
+        lm.Release(&t2_locks);
       }
-      lm.ReleaseAllHeldBy(t1);
+      lm.Release(&t1_locks);
     }
   }
   return out;

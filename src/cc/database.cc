@@ -435,43 +435,36 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
   // so no same-transaction action is concurrent with this one; other
   // transactions see the same object/top/commutativity either way), and
   // Def 3 rules out children whose passed-up locks the completion visit
-  // would have to release. The per-action completion visit to the lock
-  // stripe then disappears entirely.
+  // would have to release. Completion then moves the lock into the
+  // top-level list without visiting its stripe.
   const bool pre_passed =
       (options_.scheduler == SchedulerKind::kOpenNested ||
        options_.scheduler == SchedulerKind::kClosedNested) &&
       parent == top && process == 0 && runtime->type->primitive();
   Status lock_status;
-  bool acquired = false;
-  bool locks_at_top = pre_passed;
   switch (options_.scheduler) {
     case SchedulerKind::kOpenNested:
     case SchedulerKind::kClosedNested:
       lock_status = locks_.Acquire(obj, runtime->name, runtime->type, inv,
-                                   chain, top, LockSemantics::kCommutativity,
+                                   chain, top, &ctx.held_locks_,
+                                   LockSemantics::kCommutativity,
                                    /*hold_at_top=*/pre_passed);
-      acquired = true;
       break;
     case SchedulerKind::kFlat2PL:
       // Only the primitive layer is locked; composite calls pass
       // through (the conventional system does not know them).
       if (runtime->type->primitive()) {
         lock_status = locks_.Acquire(obj, runtime->name, runtime->type,
-                                     inv, chain, top,
+                                     inv, chain, top, &ctx.held_locks_,
                                      LockSemantics::kCommutativity,
                                      /*hold_at_top=*/true);
-        acquired = true;
       }
-      // Every flat-2PL lock lives with the top-level transaction, so a
-      // non-top completion visit can never find anything to move.
-      locks_at_top = true;
       break;
     case SchedulerKind::kObjectExclusive:
       lock_status = locks_.Acquire(obj, runtime->name, runtime->type, inv,
-                                   chain, top, LockSemantics::kExclusive,
+                                   chain, top, &ctx.held_locks_,
+                                   LockSemantics::kExclusive,
                                    /*hold_at_top=*/true);
-      acquired = true;
-      locks_at_top = true;
       break;
     case SchedulerKind::kNone:
       break;
@@ -487,9 +480,6 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
     return lock_status;
   }
 
-  if (acquired) {
-    ctx.lock_shards_.store(locks_.ShardBit(obj), std::memory_order_relaxed);
-  }
   uint64_t timestamp = 0;
   Status body_status;
   if (runtime->type->primitive()) {
@@ -509,28 +499,17 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
 
   if (!body_status.ok()) {
     // The action failed: undo its completed children (in reverse), then
-    // drop everything it holds. The caller decides whether the error is
-    // recoverable (e.g. Capacity -> split) or aborts further up.
+    // drop everything it holds — a pre-passed lock included, exactly as
+    // if the action held it itself. The caller decides whether the
+    // error is recoverable (e.g. Capacity -> split) or aborts further
+    // up. Under the hold-at-top disciplines the locks belong to the
+    // top-level transaction and survive until it ends.
     CompensateChildren(&ctx);
-    const uint64_t failed_mask =
-        ctx.lock_shards_.load(std::memory_order_relaxed);
-    if (pre_passed) {
-      // The lock was anchored at top on acquire; a failed action must
-      // still die with its lock released, exactly as on the classic
-      // path where it would have held it itself.
-      locks_.ReleaseOwned(action, top, failed_mask);
+    if (options_.scheduler == SchedulerKind::kFlat2PL ||
+        options_.scheduler == SchedulerKind::kObjectExclusive) {
+      locks_.PassUp(&ctx.held_locks_, &parent_ctx->held_locks_);
     } else {
-      locks_.ReleaseAllHeldBy(action, failed_mask);
-    }
-    // Under hold-at-top disciplines the failed action's lock is held by
-    // the top-level transaction, so the release above finds nothing and
-    // the lock survives until transaction end. Fold the mask up anyway:
-    // the final release must still visit those stripes.
-    parent_ctx->lock_shards_.fetch_or(failed_mask, std::memory_order_relaxed);
-    if (ctx.has_comp_children_.load(std::memory_order_relaxed)) {
-      CompStripe& stripe = CompStripeOf(action);
-      std::lock_guard<std::mutex> guard(stripe.mu);
-      stripe.log.erase(action.value);
+      locks_.Release(&ctx.held_locks_);
     }
     // Span ends after compensation, so the compensating children's
     // spans nest inside the failed action's.
@@ -559,32 +538,17 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
       if (logged_lsn != nullptr) *logged_lsn = lsn;
     }
   }
+  // The action's own compensation supersedes its children's, which die
+  // with `ctx`.
   if (ctx.compensation_.has_value()) {
-    parent_ctx->has_comp_children_.store(true, std::memory_order_relaxed);
-    CompStripe& stripe = CompStripeOf(parent);
-    std::lock_guard<std::mutex> guard(stripe.mu);
-    stripe.log[parent.value].push_back(
-        CompensationEntry{obj, std::move(*ctx.compensation_)});
+    std::lock_guard<std::mutex> guard(parent_ctx->comp_mu_);
+    parent_ctx->child_compensations_.push_back(
+        MethodContext::PendingCompensation{obj,
+                                           std::move(*ctx.compensation_)});
   }
-  if (ctx.has_comp_children_.load(std::memory_order_relaxed)) {
-    // The completed action's children compensations are superseded by
-    // its own registered compensation.
-    CompStripe& stripe = CompStripeOf(action);
-    std::lock_guard<std::mutex> guard(stripe.mu);
-    stripe.log.erase(action.value);
-  }
-  const uint64_t shard_mask =
-      ctx.lock_shards_.load(std::memory_order_relaxed);
-  if (!locks_at_top) {
-    locks_.OnActionComplete(
-        action, parent,
-        /*release_children=*/options_.scheduler !=
-            SchedulerKind::kClosedNested,
-        shard_mask);
-  }
-  // The parent inherits the child's lock shards (pass-up): fold the
-  // mask up so top-level completion visits every relevant stripe.
-  parent_ctx->lock_shards_.fetch_or(shard_mask, std::memory_order_relaxed);
+  locks_.PassUp(&ctx.held_locks_, &parent_ctx->held_locks_,
+                /*release_children=*/options_.scheduler !=
+                    SchedulerKind::kClosedNested);
   if (traced) TraceAction(ctx, span_name, span_start, "ok");
   FinishAction(ctx, ActionEvent::Outcome::kOk, process, timestamp,
                std::move(inv));
@@ -592,16 +556,12 @@ Status Database::ExecuteCall(MethodContext* parent_ctx, ObjectId obj,
 }
 
 void Database::CompensateChildren(MethodContext* ctx) {
-  if (!ctx->has_comp_children_.load(std::memory_order_relaxed)) return;
-  const ActionId action = ctx->action_;
-  std::vector<CompensationEntry> entries;
+  // Moved out first: the compensations register compensations of their
+  // own under `ctx`, which are dropped with it.
+  std::vector<MethodContext::PendingCompensation> entries;
   {
-    CompStripe& stripe = CompStripeOf(action);
-    std::lock_guard<std::mutex> guard(stripe.mu);
-    auto it = stripe.log.find(action.value);
-    if (it == stripe.log.end()) return;
-    entries = std::move(it->second);
-    stripe.log.erase(it);
+    std::lock_guard<std::mutex> guard(ctx->comp_mu_);
+    entries.swap(ctx->child_compensations_);
   }
   Value scratch;
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
@@ -701,21 +661,14 @@ Status Database::RunTransaction(const std::string& name,
       // log operations depending on) effects whose commit might still
       // be lost in a crash.
       if (durability_ != nullptr) durability_->OnCommit(top.value);
-      locks_.OnActionComplete(
-          top, ActionId(), /*release_children=*/true,
-          ctx.lock_shards_.load(std::memory_order_relaxed));
-      if (ctx.has_comp_children_.load(std::memory_order_relaxed)) {
-        CompStripe& stripe = CompStripeOf(top);
-        std::lock_guard<std::mutex> guard(stripe.mu);
-        stripe.log.erase(top.value);
-      }
+      locks_.Release(&ctx.held_locks_);
       counters_.committed.fetch_add(1, std::memory_order_relaxed);
       if (m_committed_) m_committed_->Increment();
       FinishAction(ctx, ActionEvent::Outcome::kCommit, 0, 0, Invocation());
       // Commit-publish: everything between the body returning OK and
       // the transaction being externally visible (history/epoch
-      // publish, lock release, compensation cleanup) minus the WAL
-      // force, which the storage engine billed to wal-force directly.
+      // publish, lock release) minus the WAL force, which the storage
+      // engine billed to wal-force directly.
       if (phased) {
         const uint64_t wal_ns =
             phase_acc.Get(Phase::kWalForce) - wal_before;
@@ -739,21 +692,14 @@ Status Database::RunTransaction(const std::string& name,
     }
 
     // Abort: semantically undo completed top-level children, then
-    // release everything. The compensations themselves re-register
-    // their own compensations under `top`; drop those too.
+    // release everything.
     CompensateChildren(&ctx);
-    if (ctx.has_comp_children_.load(std::memory_order_relaxed)) {
-      CompStripe& stripe = CompStripeOf(top);
-      std::lock_guard<std::mutex> guard(stripe.mu);
-      stripe.log.erase(top.value);
-    }
     // The abort record follows the compensations (which were logged as
     // ordinary operations) and precedes the lock release. It need not
     // be forced: if it is lost, recovery treats the transaction as a
     // loser and re-runs the same compensations — same end state.
     if (durability_ != nullptr) durability_->OnAbort(top.value);
-    locks_.ReleaseAllHeldBy(
-        top, ctx.lock_shards_.load(std::memory_order_relaxed));
+    locks_.Release(&ctx.held_locks_);
     counters_.aborted.fetch_add(1, std::memory_order_relaxed);
     if (m_aborted_) m_aborted_->Increment();
     if (traced) {

@@ -26,15 +26,19 @@
 // invocation; abort executes the direct children's compensations in
 // reverse completion order as ordinary actions.
 //
+// An action's own runtime state lives in its MethodContext: the locks
+// it holds (its own and its completed children's, passed up) and the
+// compensations its completed children registered. Completion moves
+// them into the parent's context or releases/drops them; nothing is
+// looked up by action id.
+//
 // Sharding and history modes. With `shards` > 1 the object map and the
 // lock table are partitioned by object id: lookups take a per-shard
 // shared_mutex in shared mode, and lock traffic stays within its
-// stripe (see lock_manager.h). Each action carries the set of stripes
-// it may hold locks in as a 64-bit mask, so completion only visits
-// those stripes. History recording has two modes: kRecorded appends
-// every action to the shared TransactionSystem (the classic,
-// validator-ready path), kEpochBatched appends compact events to
-// per-thread buffers that a flusher drains once per epoch
+// stripe (see lock_manager.h). History recording has two modes:
+// kRecorded appends every action to the shared TransactionSystem (the
+// classic, validator-ready path), kEpochBatched appends compact events
+// to per-thread buffers that a flusher drains once per epoch
 // (AdvanceEpoch) — the throughput path; replay the batches through
 // HistoryEpochSink to validate after the fact. The modes differ only in
 // where an action's record goes. While transactions run the runtime
@@ -45,7 +49,6 @@
 
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -292,8 +295,9 @@ class Database {
   /// Records, locks, and executes one call; the heart of the runtime.
   /// `parent_ctx` is the caller's context (the transaction body's for
   /// top-level calls): it supplies the parent action, the cached
-  /// top-level id, the ancestor chain for sphere checks, and receives
-  /// the child's lock-shard mask at completion. `process` overrides the
+  /// top-level id and the ancestor chain for sphere checks, and
+  /// receives the child's passed-up locks and compensation at
+  /// completion. `process` overrides the
   /// inherited intra-transaction process id (0 = inherit); used by
   /// CallParallel. When the call completed on a persistent root and was
   /// logged, `logged_lsn` (if non-null) receives the WAL record's LSN
@@ -307,23 +311,6 @@ class Database {
   /// that action).
   void CompensateChildren(MethodContext* ctx);
 
-  struct CompensationEntry {
-    ObjectId object;
-    Invocation inv;
-  };
-
-  /// One stripe of the compensation log, selected by parent action id.
-  struct CompStripe {
-    std::mutex mu;
-    /// parent action -> compensations of its completed children, in
-    /// completion order.
-    std::unordered_map<uint64_t, std::vector<CompensationEntry>> log;
-  };
-  static constexpr size_t kCompStripes = 16;
-  CompStripe& CompStripeOf(ActionId parent) {
-    return comp_stripes_[parent.value & (kCompStripes - 1)];
-  }
-
   DatabaseOptions options_;
   TransactionSystem ts_;
   LockManager locks_;
@@ -333,8 +320,6 @@ class Database {
   /// Object map stripes; unique_ptr keeps each stripe's shared_mutex
   /// off its neighbors' cache lines.
   std::vector<std::unique_ptr<ObjectShard>> object_shards_;
-
-  std::array<CompStripe, kCompStripes> comp_stripes_;
 
   /// Fresh intra-transaction process ids for CallParallel (Def 9);
   /// process 0 is the default sequential process of every transaction.

@@ -148,10 +148,28 @@ void LockManager::EraseWaitEdges(uint64_t requester_top) {
   waits_for_.erase(requester_top);
 }
 
+std::vector<LockManager::Lock*> LockManager::HeldLocks::Take() {
+  std::vector<Lock*> taken;
+  std::lock_guard<std::mutex> guard(mu_);
+  taken.swap(locks_);
+  return taken;
+}
+
+void LockManager::HeldLocks::Add(Lock* lock) {
+  std::lock_guard<std::mutex> guard(mu_);
+  locks_.push_back(lock);
+}
+
+void LockManager::HeldLocks::Add(const std::vector<Lock*>& locks) {
+  std::lock_guard<std::mutex> guard(mu_);
+  locks_.insert(locks_.end(), locks.begin(), locks.end());
+}
+
 Status LockManager::Acquire(ObjectId obj, const std::string& name,
                             const ObjectType* type, const Invocation& inv,
                             const SphereChain& chain, ActionId top,
-                            LockSemantics semantics, bool hold_at_top) {
+                            HeldLocks* held, LockSemantics semantics,
+                            bool hold_at_top) {
   Shard& shard = *shards_[ShardOf(obj)];
   shard.acquires.fetch_add(1, std::memory_order_relaxed);
   if (m_acquires_) m_acquires_->Increment();
@@ -259,8 +277,12 @@ Status LockManager::Acquire(ObjectId obj, const std::string& name,
   ActionId holder = hold_at_top ? top : action;
   auto& locks = shard.table[obj];
   locks.push_back(Lock{obj, type, inv, action, holder, top, semantics});
-  shard.held_by[holder.value].push_back(&locks.back());
   shard.held_now.fetch_add(1, std::memory_order_relaxed);
+  Lock* granted = &locks.back();
+  lock.unlock();
+  // Only the list's owner ever erases the lock, so the pointer stays
+  // valid outside the latch.
+  held->Add(granted);
   return Status::OK();
 }
 
@@ -270,21 +292,7 @@ void LockManager::WakeWaiters(Shard* shard) {
   shard->released.notify_all();
 }
 
-void LockManager::MoveHolder(Shard* shard, Lock* lock, ActionId new_holder) {
-  auto& old_list = shard->held_by[lock->holder.value];
-  old_list.erase(std::remove(old_list.begin(), old_list.end(), lock),
-                 old_list.end());
-  if (old_list.empty()) shard->held_by.erase(lock->holder.value);
-  lock->holder = new_holder;
-  shard->held_by[new_holder.value].push_back(lock);
-}
-
 void LockManager::EraseLock(Shard* shard, Lock* lock) {
-  auto& holder_list = shard->held_by[lock->holder.value];
-  holder_list.erase(
-      std::remove(holder_list.begin(), holder_list.end(), lock),
-      holder_list.end());
-  if (holder_list.empty()) shard->held_by.erase(lock->holder.value);
   auto& locks = shard->table[lock->object];
   for (auto it = locks.begin(); it != locks.end(); ++it) {
     if (&*it == lock) {
@@ -295,32 +303,18 @@ void LockManager::EraseLock(Shard* shard, Lock* lock) {
   }
 }
 
-void LockManager::OnActionComplete(ActionId action, ActionId parent,
-                                   bool release_children,
-                                   uint64_t shard_mask) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if ((shard_mask & (uint64_t{1} << s)) == 0) continue;
+template <typename Fn>
+void LockManager::ForEachByStripe(std::vector<Lock*>::iterator begin,
+                                  std::vector<Lock*>::iterator end, Fn fn) {
+  auto stripe = [this](const Lock* lock) { return ShardOf(lock->object); };
+  std::sort(begin, end, [&](const Lock* a, const Lock* b) {
+    return stripe(a) < stripe(b);
+  });
+  while (begin != end) {
+    const size_t s = stripe(*begin);
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> guard(shard.mu);
-    auto it = shard.held_by.find(action.value);
-    if (it == shard.held_by.end()) continue;
-    // Copy: EraseLock/MoveHolder mutate held_by.
-    std::vector<Lock*> held = it->second;
-    for (Lock* lock : held) {
-      if (!parent.valid()) {
-        // Top-level completion unwinds everything in both disciplines.
-        EraseLock(&shard, lock);
-      } else if (lock->owner == action || !release_children) {
-        // The action's own semantic lock passes up to the caller; under
-        // closed nesting the children's locks ride along instead of
-        // being released.
-        MoveHolder(&shard, lock, parent);
-      } else {
-        // Open nesting: locks passed up by (now completed) children are
-        // released — the action's semantic footprint covers them.
-        EraseLock(&shard, lock);
-      }
-    }
+    for (; begin != end && stripe(*begin) == s; ++begin) fn(&shard, *begin);
     // Pass-ups can unblock intra-transaction waiters and erases anyone;
     // waiters in *other* stripes cannot be watching these locks, so the
     // wake stays stripe-local. Skipped entirely when nobody waits.
@@ -328,35 +322,39 @@ void LockManager::OnActionComplete(ActionId action, ActionId parent,
   }
 }
 
-void LockManager::ReleaseAllHeldBy(ActionId holder, uint64_t shard_mask) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if ((shard_mask & (uint64_t{1} << s)) == 0) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> guard(shard.mu);
-    auto it = shard.held_by.find(holder.value);
-    if (it == shard.held_by.end()) continue;
-    std::vector<Lock*> held = it->second;
-    for (Lock* lock : held) EraseLock(&shard, lock);
-    WakeWaiters(&shard);
-  }
+void LockManager::PassUp(HeldLocks* held, HeldLocks* parent,
+                         bool release_children) {
+  std::vector<Lock*> locks = held->Take();
+  // Locks anchored above the action on acquire (hold_at_top) already
+  // sit with their final holder: they move into `parent` without a
+  // stripe visit. Only this thread moves the locks of `held`, so reading
+  // the holder needs no latch.
+  auto visit = std::partition(locks.begin(), locks.end(), [&](Lock* lock) {
+    return lock->holder != held->action_;
+  });
+  // The locks that move into `parent` are compacted to the front.
+  size_t up = visit - locks.begin();
+  ForEachByStripe(visit, locks.end(), [&](Shard* shard, Lock* lock) {
+    if (lock->owner == held->action_ || !release_children) {
+      // The action's own semantic lock passes up to the caller; under
+      // closed nesting the children's locks ride along instead of
+      // being released.
+      lock->holder = parent->action_;
+      locks[up++] = lock;
+    } else {
+      // Open nesting: locks passed up by (now completed) children are
+      // released — the action's semantic footprint covers them.
+      EraseLock(shard, lock);
+    }
+  });
+  locks.resize(up);
+  if (!locks.empty()) parent->Add(locks);
 }
 
-void LockManager::ReleaseOwned(ActionId owner, ActionId holder,
-                               uint64_t shard_mask) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if ((shard_mask & (uint64_t{1} << s)) == 0) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> guard(shard.mu);
-    auto it = shard.held_by.find(holder.value);
-    if (it == shard.held_by.end()) continue;
-    std::vector<Lock*> owned;
-    for (Lock* lock : it->second) {
-      if (lock->owner == owner) owned.push_back(lock);
-    }
-    if (owned.empty()) continue;
-    for (Lock* lock : owned) EraseLock(&shard, lock);
-    WakeWaiters(&shard);
-  }
+void LockManager::Release(HeldLocks* held) {
+  std::vector<Lock*> locks = held->Take();
+  ForEachByStripe(locks.begin(), locks.end(),
+                  [this](Shard* shard, Lock* lock) { EraseLock(shard, lock); });
 }
 
 std::vector<LockShardStats> LockManager::PerShardStats() const {

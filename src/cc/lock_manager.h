@@ -31,13 +31,20 @@
 // (parallel sibling processes) are exempt from detection and resolved
 // by lock pass-up, with a timeout as the safety net.
 //
+// Held locks. The manager keeps no index from actions to the locks they
+// hold. Each action owns a HeldLocks list (the runtime keeps it in the
+// action's MethodContext) holding the locks whose fate is decided when
+// that action ends: its own lock and the ones its completed children
+// passed up. Acquire appends to the requester's list; completion moves
+// entries into the parent's list or releases them.
+//
 // Sharding. The lock table is partitioned into `shards` stripes by a
-// hash of the object id: each stripe has its own latch, wait condvar,
-// lock lists, and held-by index, so acquires and releases on objects in
-// different stripes never contend. Only the waits-for graph stays
-// global (deadlock cycles thread through objects in arbitrary stripes);
-// it lives behind its own mutex and is touched only on the blocked
-// path. shards=1 (the default) reproduces the pre-sharding runtime.
+// hash of the object id: each stripe has its own latch, wait condvar
+// and lock lists, so acquires and releases on objects in different
+// stripes never contend. Only the waits-for graph stays global
+// (deadlock cycles thread through objects in arbitrary stripes); it
+// lives behind its own mutex and is touched only on the blocked path.
+// shards=1 (the default) reproduces the pre-sharding runtime.
 //
 // Wakeups: spin, then park. A blocked Acquire first runs deadlock
 // detection (or wait-die) and publishes its waits-for edges, then
@@ -101,7 +108,7 @@ struct LockManagerOptions {
   DeadlockPolicy deadlock_policy = DeadlockPolicy::kDetect;
   /// Lock-table stripes. 1 (the default) is the original single-table
   /// runtime; 0 resolves to the hardware thread count. Capped at
-  /// kMaxShards so callers can carry shard sets as 64-bit masks.
+  /// kMaxShards.
   size_t shards = 1;
 };
 
@@ -126,33 +133,61 @@ struct LockShardStats {
 
 /// Thread-safe semantic lock table for one Database.
 class LockManager {
+ private:
+  struct Lock;
+
  public:
-  /// Callers carry the shards an action holds locks in as a 64-bit
-  /// mask, so shard counts are capped here.
+  /// Upper bound on the stripe count.
   static constexpr size_t kMaxShards = 64;
-  /// The "visit every shard" mask for callers that do not track one.
-  static constexpr uint64_t kAllShards = ~uint64_t{0};
+
+  /// The locks whose fate is decided when one action ends: the ones it
+  /// acquired and the ones its completed children passed up to it. The
+  /// caller owns the list and keeps it alive while it holds entries;
+  /// only the lock manager reads or changes it. The mutex serializes
+  /// children completing concurrently (parallel branches passing up
+  /// into the same parent).
+  class HeldLocks {
+   public:
+    explicit HeldLocks(ActionId action) : action_(action) {}
+    HeldLocks(const HeldLocks&) = delete;
+    HeldLocks& operator=(const HeldLocks&) = delete;
+
+   private:
+    friend class LockManager;
+    /// Takes every entry out of the list.
+    std::vector<Lock*> Take();
+    void Add(Lock* lock);
+    void Add(const std::vector<Lock*>& locks);
+
+    const ActionId action_;
+    std::mutex mu_;
+    std::vector<Lock*> locks_;
+  };
 
   explicit LockManager(LockManagerOptions options = {});
 
   /// Acquires a lock on `obj` in mode `inv` for the requester `chain`
   /// (its first id is the acquiring action, the rest its ancestors up to
-  /// the top-level transaction `top`). Blocks while incompatible locks
-  /// exist. When `hold_at_top` is true the lock is immediately anchored
-  /// at the top-level transaction (flat 2PL / strawman modes). `name`
-  /// is the object's name, quoted by the deadlock and timeout verdicts.
+  /// the top-level transaction `top`) and records it in `held`, the
+  /// acquiring action's list. Blocks while incompatible locks exist.
+  /// When `hold_at_top` is true the lock is immediately anchored at the
+  /// top-level transaction (flat 2PL / strawman modes, pre-passed
+  /// primitives). `name` is the object's name, quoted by the deadlock
+  /// and timeout verdicts.
   ///
   /// Returns OK, or kDeadlock when waiting would close a waits-for cycle
-  /// or exceed the timeout.
+  /// or exceed the timeout (nothing is recorded then).
   Status Acquire(ObjectId obj, const std::string& name,
                  const ObjectType* type, const Invocation& inv,
-                 const SphereChain& chain, ActionId top,
+                 const SphereChain& chain, ActionId top, HeldLocks* held,
                  LockSemantics semantics = LockSemantics::kCommutativity,
                  bool hold_at_top = false);
 
-  /// Lock pass-up at completion of `action`: locks passed up by its
-  /// children are released; its own lock transfers to `parent`. An
-  /// invalid `parent` (top-level) releases everything it holds.
+  /// Lock pass-up when the action owning `held` ends: its own lock
+  /// transfers to `parent`, and the locks its children passed up are
+  /// released. Locks anchored above the action (hold_at_top) move into
+  /// `parent` without a stripe visit: their holder is already there.
+  /// `held` is empty afterwards.
   ///
   /// With `release_children` false (closed nested transactions [12]),
   /// nothing is released early: every lock the action holds — its own
@@ -160,30 +195,17 @@ class LockManager {
   /// parent and is only released at top-level completion. "By the use
   /// of conventional transactions and closed nested transactions only
   /// top-level-transactions are isolated from each other."
-  ///
-  /// `shard_mask` limits the shards visited; pass a superset of the
-  /// shards `action` may hold locks in (kAllShards always works).
-  void OnActionComplete(ActionId action, ActionId parent,
-                        bool release_children = true,
-                        uint64_t shard_mask = kAllShards);
+  void PassUp(HeldLocks* held, HeldLocks* parent,
+              bool release_children = true);
 
-  /// Releases every lock currently held by `holder` (top-level
-  /// commit/abort, or cleanup of a failed action). Locks owned deeper
-  /// but already passed up to `holder` are released too. `shard_mask`
-  /// as in OnActionComplete.
-  void ReleaseAllHeldBy(ActionId holder, uint64_t shard_mask = kAllShards);
-
-  /// Releases the locks `owner` acquired that now sit with `holder`
-  /// (pre-passed-up acquires cleaning up after a failed action). No-op
-  /// when `owner` holds nothing under `holder`.
-  void ReleaseOwned(ActionId owner, ActionId holder,
-                    uint64_t shard_mask = kAllShards);
+  /// Releases every lock in `held` (top-level commit/abort, or cleanup
+  /// of a failed action) and leaves it empty.
+  void Release(HeldLocks* held);
 
   /// Number of locks currently in the table (for tests).
   size_t LockCount() const;
 
-  /// Stripe geometry: the shard of `obj`, and how many there are. The
-  /// runtime uses ShardOf to maintain per-action shard masks.
+  /// Stripe geometry: the shard of `obj`, and how many there are.
   size_t ShardOf(ObjectId obj) const {
     // Fibonacci mix: consecutive ids (the common allocation pattern)
     // must spread across stripes.
@@ -191,10 +213,6 @@ class LockManager {
            shards_.size();
   }
   size_t shard_count() const { return shards_.size(); }
-  /// Mask bit for `obj`'s shard.
-  uint64_t ShardBit(ObjectId obj) const {
-    return uint64_t{1} << ShardOf(obj);
-  }
 
   /// Per-shard counters since construction, index = shard.
   std::vector<LockShardStats> PerShardStats() const;
@@ -247,7 +265,10 @@ class LockManager {
     const ObjectType* type;
     Invocation inv;
     ActionId owner;    ///< action that acquired it (never changes)
-    ActionId holder;   ///< current holder; moves up the tree
+    /// Current holder; moves up the tree. Written under the stripe
+    /// latch by the thread whose HeldLocks list has the lock; sphere
+    /// checks read it under the latch.
+    ActionId holder;
     ActionId top;      ///< owner's top-level transaction (never changes)
     LockSemantics semantics;
   };
@@ -257,8 +278,6 @@ class LockManager {
     mutable std::mutex mu;
     std::condition_variable released;
     std::unordered_map<ObjectId, std::list<Lock>> table;
-    /// holder action id -> locks it currently holds in this shard.
-    std::unordered_map<uint64_t, std::vector<Lock*>> held_by;
     /// waits observed per object (keyed by ObjectId value).
     std::unordered_map<uint64_t, uint64_t> waits_per_object;
     /// Threads currently blocked in this shard's wait loop, spinning or
@@ -308,8 +327,16 @@ class LockManager {
   /// generation and notifies the condvar, if anyone waits.
   void WakeWaiters(Shard* shard);
 
-  void MoveHolder(Shard* shard, Lock* lock, ActionId new_holder);
+  /// Removes `lock` from its stripe's table. Requires the shard's mu.
   void EraseLock(Shard* shard, Lock* lock);
+
+  /// Runs `fn(shard, lock)` on each lock in [begin, end) under its
+  /// stripe's latch. The range is sorted by stripe first, so each
+  /// stripe is latched once and its waiters are woken once, after all
+  /// of its changes.
+  template <typename Fn>
+  void ForEachByStripe(std::vector<Lock*>::iterator begin,
+                       std::vector<Lock*>::iterator end, Fn fn);
 
   LockManagerOptions options_;
 

@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -17,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cc/lock_manager.h"
 #include "cc/object_state.h"
 #include "model/ids.h"
 #include "model/invocation.h"
@@ -150,7 +150,14 @@ class MethodContext {
         latch_(latch), parent_(parent), self_type_(self_type),
         top_(parent == nullptr ? action : parent->top_),
         top_name_(parent == nullptr ? nullptr : parent->top_name_),
-        depth_(parent == nullptr ? 0 : parent->depth_ + 1) {}
+        depth_(parent == nullptr ? 0 : parent->depth_ + 1),
+        held_locks_(action) {}
+
+  /// A completed child's compensation, waiting for this action to end.
+  struct PendingCompensation {
+    ObjectId object;
+    Invocation inv;
+  };
 
   Database* db_;
   ActionId action_;
@@ -175,16 +182,15 @@ class MethodContext {
   const std::string* top_name_;
   /// Call depth: 0 for the transaction body, parent's + 1 below.
   uint32_t depth_;
-  /// Shards in which this action (or its completed children, passed up)
-  /// may hold locks — a conservative superset, folded into the parent
-  /// at completion. Atomic: CallParallel branches complete concurrently.
-  std::atomic<uint64_t> lock_shards_{0};
-  /// Set once a completed child registers a compensation under this
-  /// action. Completion, commit and abort consult it to skip the
-  /// compensation-stripe lookup in the (common) case where nothing was
-  /// ever registered. Atomic: CallParallel branches register
+  /// The locks whose fate is decided when this action ends: its own
+  /// and the ones its completed children passed up.
+  LockManager::HeldLocks held_locks_;
+  /// Compensations of the completed children, in completion order; run
+  /// in reverse if this action fails or aborts, dropped with the context
+  /// otherwise. Guarded by `comp_mu_`: CallParallel branches complete
   /// concurrently.
-  std::atomic<bool> has_comp_children_{false};
+  std::mutex comp_mu_;
+  std::vector<PendingCompensation> child_compensations_;
   std::optional<Invocation> compensation_;
   uint64_t last_lsn_ = 0;
 };

@@ -340,10 +340,9 @@ ValidationReport Validator::Validate(TransactionSystem* ts,
     if (!ConformanceHolds(*ts)) CheckConformance(*ts, &report);
   }
 
-  if (options.check_conventional) {
-    report.conventional = ConventionalChecker::Check(*ts);
-    report.conventionally_serializable = report.conventional.serializable;
-  }
+  // The conventional (flat page-level) check, for comparison.
+  report.conventional = ConventionalChecker::Check(*ts);
+  report.conventionally_serializable = report.conventional.serializable;
 
   if (options.metrics != nullptr) {
     options.metrics->SetGauge("validate.oo_serializable",

@@ -27,10 +27,6 @@ struct ValidationOptions {
   /// must respect the (inherited) intra-transaction precedence relation.
   bool check_conformance = true;
 
-  /// Also run the conventional (flat page-level) serializability check
-  /// for comparison.
-  bool check_conventional = true;
-
   /// Additionally require global acyclicity of the union of all
   /// dependency relations across objects. This is strictly stronger than
   /// the paper's distributed condition (Def 16 checks each object's

@@ -177,18 +177,9 @@ void Wal::Close() {
 }
 
 void Wal::MaybeCrash() {
-  bool fire = false;
   if (options_.crash_after_appends >= 0 &&
       lifetime_records_ >=
           static_cast<uint64_t>(options_.crash_after_appends)) {
-    fire = true;
-  }
-  if (options_.crash_after_bytes >= 0 &&
-      lifetime_bytes_ >
-          static_cast<uint64_t>(options_.crash_after_bytes)) {
-    fire = true;
-  }
-  if (fire) {
     // The harness's injected power cut: no destructors, no flushes.
     ::raise(SIGKILL);
   }
@@ -213,7 +204,6 @@ Result<uint64_t> Wal::Append(WalRecord rec) {
   ++records_;
   ++lifetime_records_;
   bytes_ += buf.size();
-  lifetime_bytes_ += buf.size();
   if (m_appends_) m_appends_->Increment();
   if (m_bytes_) m_bytes_->Increment(buf.size());
   MaybeCrash();

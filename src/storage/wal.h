@@ -102,9 +102,6 @@ struct WalOptions {
   /// the Wal instance's whole lifetime, across epoch rotations, so a
   /// sweep point can land after a mid-run checkpoint.
   int64_t crash_after_appends = -1;
-  /// Crash injection: when >= 0, raise SIGKILL right after the append
-  /// that pushes lifetime appended bytes (headers excluded) past this.
-  int64_t crash_after_bytes = -1;
 };
 
 /// Append side of one WAL epoch file. Thread-safe.
@@ -172,7 +169,6 @@ class Wal {
   uint64_t records_ = 0;  ///< this epoch
   uint64_t bytes_ = 0;    ///< this epoch
   uint64_t lifetime_records_ = 0;  ///< across Create/OpenForAppend calls
-  uint64_t lifetime_bytes_ = 0;
 
   Counter* m_appends_ = nullptr;
   Counter* m_bytes_ = nullptr;

@@ -19,7 +19,6 @@
 #include <memory>
 #include <string>
 
-#include "apps/encyclopedia.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -107,13 +106,12 @@ int ExplainMain(int argc, char** argv) {
       std::fprintf(stderr, "oodb explain: %s\n", read.message().c_str());
       return 1;
     }
-    // Types resolve by name through the global registry; make sure the
-    // built-in container and app types are registered even though no
-    // workload ran in this process (the encyclopedia pulls in the page
-    // and B+-tree types).
-    {
+    // Types resolve by name through the global registry; register every
+    // schema's types even though no workload ran in this process.
+    for (const char* schema :
+         {"bank", "containers", "document", "encyclopedia"}) {
       Database scratch;
-      Encyclopedia::RegisterMethods(&scratch);
+      RegisterSchema(schema, &scratch);
     }
     auto loaded = HistoryIo::LoadWithGlobalTypes(dump);
     if (!loaded.ok()) {

@@ -13,7 +13,9 @@
 #include "containers/hash_index.h"
 #include "containers/page_ops.h"
 #include "containers/persist.h"
+#include "schedule/history_io.h"
 #include "schedule/validator.h"
+#include "util/io.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -307,11 +309,20 @@ CrashHarnessReport CrashHarness::Run(const CrashHarnessConfig& config) {
     RunWorkload(&db, &engine, config.seed + 7919, config.post_txns,
                 config.threads);
   }
+  // Dumped before validating: the extension step adds virtual objects,
+  // which a dump cannot carry.
+  Result<std::string> history = HistoryIo::Dump(db.ts());
   ValidationReport validation = Validator::Validate(&db.ts());
   report.history_valid = validation.oo_serializable && validation.conform;
   if (!report.history_valid && report.failure.empty()) {
     report.failure = "post-recovery history fails Defs 13/16: " +
                      validation.Summary();
+    // Keep the evidence next to the store, for `oodb explain --history`.
+    const std::string path = config.dir + "/post_recovery.history";
+    Status kept = history.ok() ? WriteOut(path, *history) : history.status();
+    report.failure += kept.ok() ? " (history written to " + path + ")"
+                                : " (history not kept: " + kept.ToString() +
+                                      ")";
   }
   return report;
 }

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -20,23 +22,44 @@ Invocation Ins(const std::string& k) {
   return Invocation("insert", {Value(k)});
 }
 
+/// Actions recorded in `ts`, each with the held-lock list the runtime
+/// keeps in its MethodContext.
 struct World {
   TransactionSystem ts;
+  std::map<uint64_t, std::unique_ptr<LockManager::HeldLocks>> held;
   ObjectId leaf, page;
   ActionId t1, t2;
 
   World() {
     leaf = ts.AddObject(LeafType(), "Leaf");
     page = ts.AddObject(PageType(), "Page");
-    t1 = ts.BeginTopLevel("T1");
-    t2 = ts.BeginTopLevel("T2");
+    t1 = Begin("T1");
+    t2 = Begin("T2");
+  }
+
+  ActionId Begin(const std::string& name) {
+    return Track(ts.BeginTopLevel(name));
+  }
+  ActionId Call(ActionId parent, ObjectId obj, const Invocation& inv,
+                bool sequential = true) {
+    return Track(ts.Call(parent, obj, inv, sequential));
+  }
+  LockManager::HeldLocks* Held(ActionId action) const {
+    return held.at(action.value).get();
+  }
+
+ private:
+  ActionId Track(ActionId action) {
+    held[action.value] = std::make_unique<LockManager::HeldLocks>(action);
+    return action;
   }
 };
 
 /// Acquires as the runtime does: the caller supplies the object's name
 /// and the requester's call sphere (`action`, then its ancestors), both
-/// read here from `w.ts`. Record every action before starting threads
-/// that call this, so the reads never race an append.
+/// read here from `w.ts`, and the action's held-lock list. Record every
+/// action before starting threads that call this, so the reads never
+/// race an append.
 Status Acquire(LockManager& lm, const World& w, ObjectId obj,
                const ObjectType* type, const Invocation& inv,
                ActionId action, ActionId top,
@@ -47,15 +70,15 @@ Status Acquire(LockManager& lm, const World& w, ObjectId obj,
     chain.push_back(cur);
   }
   return lm.Acquire(obj, w.ts.object(obj).name, type, inv,
-                    SphereChain{chain.data(), chain.size()}, top, semantics,
-                    hold_at_top);
+                    SphereChain{chain.data(), chain.size()}, top,
+                    w.Held(action), semantics, hold_at_top);
 }
 
 TEST(LockManagerTest, CommutingLocksGrantImmediately) {
   World w;
   LockManager lm;
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ActionId b = w.ts.Call(w.t2, w.leaf, Ins("y"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId b = w.Call(w.t2, w.leaf, Ins("y"));
   EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("y"), b, w.t2).ok());
   EXPECT_EQ(lm.LockCount(), 2u);
@@ -67,8 +90,8 @@ TEST(LockManagerTest, ConflictBlocksUntilRelease) {
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(2000);
   LockManager lm(opts);
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ActionId b = w.ts.Call(w.t2, w.leaf, Ins("x"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId b = w.Call(w.t2, w.leaf, Ins("x"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
 
   std::atomic<bool> granted{false};
@@ -79,8 +102,8 @@ TEST(LockManagerTest, ConflictBlocksUntilRelease) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(granted.load());
   // T1 completes its action and then commits: lock unwinds.
-  lm.OnActionComplete(a, w.t1);
-  lm.OnActionComplete(w.t1, ActionId());
+  lm.PassUp(w.Held(a), w.Held(w.t1));
+  lm.Release(w.Held(w.t1));
   waiter.join();
   EXPECT_TRUE(granted.load());
   EXPECT_GE(lm.wait_count(), 1u);
@@ -91,9 +114,9 @@ TEST(LockManagerTest, SphereAllowsDescendants) {
   // its own ancestor.
   World w;
   LockManager lm;
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
-  ActionId split = w.ts.Call(a, w.leaf, Invocation("rearrange"));
+  ActionId split = w.Call(a, w.leaf, Invocation("rearrange"));
   EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Invocation("rearrange"),
                       split, w.t1)
                   .ok());
@@ -106,16 +129,16 @@ TEST(LockManagerTest, PassUpKeepsBlockingNonDescendants) {
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(100);
   LockManager lm(opts);
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
-  lm.OnActionComplete(a, w.t1);  // lock now retained by T1
+  lm.PassUp(w.Held(a), w.Held(w.t1));  // lock now retained by T1
   EXPECT_EQ(lm.LockCount(), 1u);
 
   // Commuting request: granted.
-  ActionId b = w.ts.Call(w.t2, w.leaf, Ins("y"));
+  ActionId b = w.Call(w.t2, w.leaf, Ins("y"));
   EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("y"), b, w.t2).ok());
   // Conflicting request: times out (T1 never commits in this test).
-  ActionId c = w.ts.Call(w.t2, w.leaf, Ins("x"));
+  ActionId c = w.Call(w.t2, w.leaf, Ins("x"));
   Status st = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), c, w.t2);
   EXPECT_TRUE(st.IsDeadlock());  // timeout surfaces as deadlock
 }
@@ -123,19 +146,19 @@ TEST(LockManagerTest, PassUpKeepsBlockingNonDescendants) {
 TEST(LockManagerTest, TopLevelCompletionReleasesEverything) {
   World w;
   LockManager lm;
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ActionId p = w.ts.Call(a, w.page, Invocation("write"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId p = w.Call(a, w.page, Invocation("write"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   ASSERT_TRUE(
       Acquire(lm, w, w.page, PageType(), Invocation("write"), p, w.t1).ok());
   // p completes -> its lock passes to a; the page lock is owned by p.
-  lm.OnActionComplete(p, a);
+  lm.PassUp(w.Held(p), w.Held(a));
   EXPECT_EQ(lm.LockCount(), 2u);
   // a completes -> p's page lock is released, a's leaf lock passes to T1.
-  lm.OnActionComplete(a, w.t1);
+  lm.PassUp(w.Held(a), w.Held(w.t1));
   EXPECT_EQ(lm.LockCount(), 1u);
   // Commit.
-  lm.OnActionComplete(w.t1, ActionId());
+  lm.Release(w.Held(w.t1));
   EXPECT_EQ(lm.LockCount(), 0u);
 }
 
@@ -145,16 +168,16 @@ TEST(LockManagerTest, EarlyPageLockReleaseIsTheOpenNestedWin) {
   // completes, long before T1 commits.
   World w;
   LockManager lm;
-  ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ActionId p1 = w.ts.Call(a1, w.page, Invocation("write"));
+  ActionId a1 = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId p1 = w.Call(a1, w.page, Invocation("write"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
   ASSERT_TRUE(
       Acquire(lm, w, w.page, PageType(), Invocation("write"), p1, w.t1).ok());
-  lm.OnActionComplete(p1, a1);
-  lm.OnActionComplete(a1, w.t1);  // leaf insert done; page lock gone
+  lm.PassUp(w.Held(p1), w.Held(a1));
+  lm.PassUp(w.Held(a1), w.Held(w.t1));  // leaf insert done; page lock gone
 
-  ActionId a2 = w.ts.Call(w.t2, w.leaf, Ins("y"));
-  ActionId p2 = w.ts.Call(a2, w.page, Invocation("write"));
+  ActionId a2 = w.Call(w.t2, w.leaf, Ins("y"));
+  ActionId p2 = w.Call(a2, w.page, Invocation("write"));
   EXPECT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("y"), a2, w.t2).ok());
   EXPECT_TRUE(
       Acquire(lm, w, w.page, PageType(), Invocation("write"), p2, w.t2).ok());
@@ -167,21 +190,86 @@ TEST(LockManagerTest, FlatHoldAtTopBlocksUntilCommit) {
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(100);
   LockManager lm(opts);
-  ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ActionId p1 = w.ts.Call(a1, w.page, Invocation("write"));
+  ActionId a1 = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId p1 = w.Call(a1, w.page, Invocation("write"));
   ASSERT_TRUE(Acquire(lm, w, w.page, PageType(), Invocation("write"), p1,
                       w.t1, LockSemantics::kCommutativity,
                       /*hold_at_top=*/true)
                   .ok());
-  lm.OnActionComplete(p1, a1);
-  lm.OnActionComplete(a1, w.t1);
+  lm.PassUp(w.Held(p1), w.Held(a1));
+  lm.PassUp(w.Held(a1), w.Held(w.t1));
 
-  ActionId a2 = w.ts.Call(w.t2, w.leaf, Ins("y"));
-  ActionId p2 = w.ts.Call(a2, w.page, Invocation("write"));
+  ActionId a2 = w.Call(w.t2, w.leaf, Ins("y"));
+  ActionId p2 = w.Call(a2, w.page, Invocation("write"));
   Status st = Acquire(lm, w, w.page, PageType(), Invocation("write"), p2,
                       w.t2, LockSemantics::kCommutativity,
                       /*hold_at_top=*/true);
   EXPECT_TRUE(st.IsDeadlock());  // would wait for T1's commit; times out
+}
+
+TEST(LockManagerTest, AnchoredLocksRideAlongUntilTopRelease) {
+  // A lock anchored at the top on acquire is not the completing
+  // action's child lock to release: it moves up with every completion
+  // and goes only when the top-level list is released.
+  World w;
+  LockManager lm;
+  ActionId a1 = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId p1 = w.Call(a1, w.page, Invocation("write"));
+  ASSERT_TRUE(Acquire(lm, w, w.page, PageType(), Invocation("write"), p1,
+                      w.t1, LockSemantics::kCommutativity,
+                      /*hold_at_top=*/true)
+                  .ok());
+  lm.PassUp(w.Held(p1), w.Held(a1));
+  lm.PassUp(w.Held(a1), w.Held(w.t1));
+  EXPECT_EQ(lm.LockCount(), 1u);
+  lm.Release(w.Held(w.t1));
+  EXPECT_EQ(lm.LockCount(), 0u);
+}
+
+TEST(LockManagerTest, ClosedPassUpKeepsChildrenLocks) {
+  World w;
+  LockManager lm;
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId p = w.Call(a, w.page, Invocation("write"));
+  ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
+  ASSERT_TRUE(
+      Acquire(lm, w, w.page, PageType(), Invocation("write"), p, w.t1).ok());
+  lm.PassUp(w.Held(p), w.Held(a), /*release_children=*/false);
+  lm.PassUp(w.Held(a), w.Held(w.t1), /*release_children=*/false);
+  EXPECT_EQ(lm.LockCount(), 2u);
+  lm.Release(w.Held(w.t1));
+  EXPECT_EQ(lm.LockCount(), 0u);
+}
+
+TEST(LockManagerTest, ConcurrentPassUpsIntoOneParent) {
+  // Parallel branches complete at once and pass their locks up into the
+  // same parent list; the parent's completion then releases them all.
+  constexpr int kBranches = 8;
+  World w;
+  LockManager lm;
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
+  std::vector<ActionId> branches;
+  for (int i = 0; i < kBranches; ++i) {
+    branches.push_back(w.Call(a, w.leaf, Ins("k" + std::to_string(i)),
+                              /*sequential=*/false));
+  }
+  std::vector<std::thread> threads;
+  std::atomic<int> granted{0};
+  for (int i = 0; i < kBranches; ++i) {
+    threads.emplace_back([&, i] {
+      if (Acquire(lm, w, w.leaf, LeafType(), Ins("k" + std::to_string(i)),
+                  branches[i], w.t1)
+              .ok()) {
+        granted.fetch_add(1);
+      }
+      lm.PassUp(w.Held(branches[i]), w.Held(a));
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(granted.load(), kBranches);
+  EXPECT_EQ(lm.LockCount(), static_cast<size_t>(kBranches));
+  lm.PassUp(w.Held(a), w.Held(w.t1));
+  EXPECT_EQ(lm.LockCount(), 0u);
 }
 
 TEST(LockManagerTest, ExclusiveSemanticsConflictEvenWhenCommuting) {
@@ -189,8 +277,8 @@ TEST(LockManagerTest, ExclusiveSemanticsConflictEvenWhenCommuting) {
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(100);
   LockManager lm(opts);
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ActionId b = w.ts.Call(w.t2, w.leaf, Ins("y"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId b = w.Call(w.t2, w.leaf, Ins("y"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1,
                       LockSemantics::kExclusive, true)
                   .ok());
@@ -206,10 +294,10 @@ TEST(LockManagerTest, DeadlockDetectedOnCycle) {
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(5000);
   LockManager lm(opts);
-  ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
-  ActionId b2 = w.ts.Call(w.t2, w.page, Invocation("write"));
-  ActionId p1 = w.ts.Call(w.t1, w.page, Invocation("write"));
-  ActionId l2 = w.ts.Call(w.t2, w.leaf, Ins("x"));
+  ActionId a1 = w.Call(w.t1, w.leaf, Ins("x"));
+  ActionId b2 = w.Call(w.t2, w.page, Invocation("write"));
+  ActionId p1 = w.Call(w.t1, w.page, Invocation("write"));
+  ActionId l2 = w.Call(w.t2, w.leaf, Ins("x"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
   ASSERT_TRUE(
       Acquire(lm, w, w.page, PageType(), Invocation("write"), b2, w.t2).ok());
@@ -229,8 +317,7 @@ TEST(LockManagerTest, DeadlockDetectedOnCycle) {
   EXPECT_GE(lm.deadlock_count(), 1u);
 
   // T2 aborts: releases its locks; T1 proceeds.
-  lm.ReleaseAllHeldBy(w.t2);
-  lm.ReleaseAllHeldBy(b2);
+  lm.Release(w.Held(b2));
   t1_thread.join();
   EXPECT_TRUE(t1_status.ok());
 }
@@ -246,8 +333,8 @@ TEST(LockManagerTest, SpinHandoffGrantsPromptlyAndCountsOneWait) {
   opts.wait_timeout = std::chrono::milliseconds(1000);
   LockManager lm(opts);
   const size_t s = lm.ShardOf(w.page);
-  ActionId a = w.ts.Call(w.t1, w.page, Invocation("write"));
-  ActionId b = w.ts.Call(w.t2, w.page, Invocation("write"));
+  ActionId a = w.Call(w.t1, w.page, Invocation("write"));
+  ActionId b = w.Call(w.t2, w.page, Invocation("write"));
   for (int round = 0; round < kRounds; ++round) {
     ASSERT_TRUE(Acquire(lm, w, w.page, PageType(), Invocation("write"), a,
                         w.t1)
@@ -261,11 +348,11 @@ TEST(LockManagerTest, SpinHandoffGrantsPromptlyAndCountsOneWait) {
     // before the release lands.
     while (lm.Occupancy()[s].waiters == 0) {
     }
-    lm.ReleaseAllHeldBy(a);
+    lm.Release(w.Held(a));
     waiter.join();
     ASSERT_TRUE(waiter_status.ok()) << "round " << round << ": "
                                     << waiter_status.message();
-    lm.ReleaseAllHeldBy(b);
+    lm.Release(w.Held(b));
   }
   EXPECT_EQ(lm.wait_count(), static_cast<uint64_t>(kRounds));
   EXPECT_GT(lm.PerShardStats()[s].wait_ns, 0u);
@@ -277,8 +364,8 @@ TEST(LockManagerTest, WaitTimeoutCoversTheSpin) {
   LockManagerOptions opts;
   opts.wait_timeout = std::chrono::milliseconds(20);
   LockManager lm(opts);
-  ActionId a = w.ts.Call(w.t1, w.page, Invocation("write"));
-  ActionId b = w.ts.Call(w.t2, w.page, Invocation("write"));
+  ActionId a = w.Call(w.t1, w.page, Invocation("write"));
+  ActionId b = w.Call(w.t2, w.page, Invocation("write"));
   ASSERT_TRUE(
       Acquire(lm, w, w.page, PageType(), Invocation("write"), a, w.t1).ok());
   auto start = std::chrono::steady_clock::now();
@@ -304,8 +391,8 @@ TEST(LockManagerTest, ConflictingWritersExcludeEachOther) {
   LockManager lm(opts);
   std::vector<ActionId> tops, actions;
   for (int i = 0; i < kThreads; ++i) {
-    tops.push_back(w.ts.BeginTopLevel("W" + std::to_string(i)));
-    actions.push_back(w.ts.Call(tops.back(), w.page, Invocation("write")));
+    tops.push_back(w.Begin("W" + std::to_string(i)));
+    actions.push_back(w.Call(tops.back(), w.page, Invocation("write")));
   }
   int counter = 0;
   std::atomic<int> failures{0};
@@ -320,7 +407,7 @@ TEST(LockManagerTest, ConflictingWritersExcludeEachOther) {
           return;
         }
         ++counter;
-        lm.ReleaseAllHeldBy(actions[i]);
+        lm.Release(w.Held(actions[i]));
       }
     });
   }
@@ -341,10 +428,10 @@ TEST(LockManagerTest, DeadlockDetectedWhenBothRequestersBlockAtOnce) {
     LockManagerOptions opts;
     opts.wait_timeout = std::chrono::milliseconds(5000);
     LockManager lm(opts);
-    ActionId a1 = w.ts.Call(w.t1, w.leaf, Ins("x"));
-    ActionId b2 = w.ts.Call(w.t2, w.page, Invocation("write"));
-    ActionId p1 = w.ts.Call(w.t1, w.page, Invocation("write"));
-    ActionId l2 = w.ts.Call(w.t2, w.leaf, Ins("x"));
+    ActionId a1 = w.Call(w.t1, w.leaf, Ins("x"));
+    ActionId b2 = w.Call(w.t2, w.page, Invocation("write"));
+    ActionId p1 = w.Call(w.t1, w.page, Invocation("write"));
+    ActionId l2 = w.Call(w.t2, w.leaf, Ins("x"));
     ASSERT_TRUE(
         Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a1, w.t1).ok());
     ASSERT_TRUE(Acquire(lm, w, w.page, PageType(), Invocation("write"), b2,
@@ -363,12 +450,12 @@ TEST(LockManagerTest, DeadlockDetectedWhenBothRequestersBlockAtOnce) {
       start_together();
       s1 =
           Acquire(lm, w, w.page, PageType(), Invocation("write"), p1, w.t1);
-      if (s1.IsDeadlock()) lm.ReleaseAllHeldBy(a1);
+      if (s1.IsDeadlock()) lm.Release(w.Held(a1));
     });
     std::thread t2([&] {
       start_together();
       s2 = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), l2, w.t2);
-      if (s2.IsDeadlock()) lm.ReleaseAllHeldBy(b2);
+      if (s2.IsDeadlock()) lm.Release(w.Held(b2));
     });
     t1.join();
     t2.join();
@@ -385,9 +472,9 @@ TEST(LockManagerTest, WaitDieYoungerRequesterDies) {
   LockManagerOptions opts;
   opts.deadlock_policy = DeadlockPolicy::kWaitDie;
   LockManager lm(opts);
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
-  ActionId b = w.ts.Call(w.t2, w.leaf, Ins("x"));
+  ActionId b = w.Call(w.t2, w.leaf, Ins("x"));
   Status st = Acquire(lm, w, w.leaf, LeafType(), Ins("x"), b, w.t2);
   EXPECT_TRUE(st.IsDeadlock());
   EXPECT_NE(st.message().find("wait-die"), std::string::npos);
@@ -401,8 +488,8 @@ TEST(LockManagerTest, WaitDieOlderRequesterWaits) {
   opts.wait_timeout = std::chrono::milliseconds(2000);
   LockManager lm(opts);
   // Younger t2 holds; older t1 must wait, then get the lock.
-  ActionId b = w.ts.Call(w.t2, w.leaf, Ins("x"));
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
+  ActionId b = w.Call(w.t2, w.leaf, Ins("x"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), b, w.t2).ok());
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
@@ -410,8 +497,8 @@ TEST(LockManagerTest, WaitDieOlderRequesterWaits) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(granted.load());
-  lm.OnActionComplete(b, w.t2);
-  lm.OnActionComplete(w.t2, ActionId());
+  lm.PassUp(w.Held(b), w.Held(w.t2));
+  lm.Release(w.Held(w.t2));
   waiter.join();
   EXPECT_TRUE(granted.load());
 }
@@ -424,8 +511,8 @@ TEST(LockManagerTest, WaitDieAllowsIntraTransactionWaits) {
   opts.deadlock_policy = DeadlockPolicy::kWaitDie;
   opts.wait_timeout = std::chrono::milliseconds(2000);
   LockManager lm(opts);
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"), false);
-  ActionId b = w.ts.Call(w.t1, w.leaf, Ins("x"), false);
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"), false);
+  ActionId b = w.Call(w.t1, w.leaf, Ins("x"), false);
   w.ts.SetProcess(b, 1);
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
   std::atomic<bool> granted{false};
@@ -434,7 +521,7 @@ TEST(LockManagerTest, WaitDieAllowsIntraTransactionWaits) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(granted.load());
-  lm.OnActionComplete(a, w.t1);  // pass-up: holder becomes the ancestor
+  lm.PassUp(w.Held(a), w.Held(w.t1));  // pass-up: holder becomes the ancestor
   waiter.join();
   EXPECT_TRUE(granted.load());
 }
@@ -444,16 +531,16 @@ TEST(LockManagerTest, PolicyNames) {
   EXPECT_STREQ(DeadlockPolicyName(DeadlockPolicy::kWaitDie), "wait-die");
 }
 
-TEST(LockManagerTest, ReleaseAllHeldByCleansUp) {
+TEST(LockManagerTest, ReleaseCleansUp) {
   World w;
   LockManager lm;
-  ActionId a = w.ts.Call(w.t1, w.leaf, Ins("x"));
+  ActionId a = w.Call(w.t1, w.leaf, Ins("x"));
   ASSERT_TRUE(Acquire(lm, w, w.leaf, LeafType(), Ins("x"), a, w.t1).ok());
-  lm.OnActionComplete(a, w.t1);
-  lm.ReleaseAllHeldBy(w.t1);
+  lm.PassUp(w.Held(a), w.Held(w.t1));
+  lm.Release(w.Held(w.t1));
   EXPECT_EQ(lm.LockCount(), 0u);
   // Second release is a no-op.
-  lm.ReleaseAllHeldBy(w.t1);
+  lm.Release(w.Held(w.t1));
   EXPECT_EQ(lm.LockCount(), 0u);
 }
 

@@ -7,6 +7,8 @@
 //   (c) leave an oo-serializable, conform history.
 // Flat 2PL must additionally leave a *conventionally* serializable
 // history (its locks are exactly the page-level R/W discipline).
+// FailedCallLockFate pins, per discipline, which locks a failed call
+// leaves behind.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,9 @@
 
 #include "apps/encyclopedia.h"
 #include "containers/codec.h"
+#include "containers/escrow.h"
+#include "containers/hash_index.h"
+#include "containers/page_ops.h"
 #include "schedule/validator.h"
 #include "util/random.h"
 
@@ -118,6 +123,94 @@ TEST_P(SchedulerMatrixTest, MixedWorkloadConsistentAndSerializable) {
   if (param.scheduler == SchedulerKind::kFlat2PL) {
     EXPECT_TRUE(report.conventionally_serializable);
   }
+}
+
+/// A composite test object whose one method relays calls to a bucket:
+/// it lets a failed call at depth 2 be observed from inside its caller.
+const ObjectType* RelayType() {
+  static const ObjectType* type =
+      new ObjectType("Relay", std::make_unique<MatrixCommutativity>());
+  return type;
+}
+
+/// Pins what happens to a failed call's locks under each scheduler:
+/// - a primitive failing at depth 1 (escrow withdraw past the balance):
+///   the nested schedulers release its pre-passed lock, the hold-at-top
+///   ones keep it until transaction end;
+/// - a Bucket.insert failing at depth 2 with a completed Page.read
+///   child, after a successful Bucket.search: the nested schedulers
+///   release the failed call's own and inherited locks, the hold-at-top
+///   ones keep every lock;
+/// - the relay's own success: open nesting releases its children's
+///   locks and passes its own up, closed nesting passes everything up.
+TEST_P(SchedulerMatrixTest, FailedCallLockFate) {
+  const SchedulerKind kind = GetParam().scheduler;
+  DatabaseOptions opts;
+  opts.scheduler = kind;
+  opts.lock_options.deadlock_policy = GetParam().policy;
+  Database db(opts);
+  RegisterPageMethods(&db);
+  HashIndex::RegisterMethods(&db);
+  RegisterAccountMethods(&db, EscrowAccountType());
+  const ObjectId acct = CreateAccount(&db, EscrowAccountType(), "A", 10);
+  const ObjectId index = HashIndex::Create(&db, "H", /*bucket_capacity=*/2);
+  const ObjectId bucket = db.StateOf<HashIndexState>(index)->directory[0];
+  const ObjectId relay = db.CreateObject(
+      RelayType(), "R", std::make_unique<ObjectState>());
+  for (const char* key : {"a", "b"}) {
+    ASSERT_TRUE(db.RunTransaction("fill", [&](MethodContext& txn) {
+                    return txn.Call(index, HashIndex::Insert(key, "v"));
+                  }).ok());
+  }
+  size_t after_depth2_failure = 0;
+  db.Register(RelayType(), "run",
+              [&](MethodContext& ctx, const ValueList&, Value*) -> Status {
+                Value out;
+                OODB_RETURN_IF_ERROR(
+                    ctx.Call(bucket, HashIndex::Search("a"), &out));
+                Status st = ctx.Call(bucket, HashIndex::Insert("c", "v"));
+                EXPECT_EQ(st.code(), StatusCode::kCapacity) << st;
+                after_depth2_failure = ctx.db()->locks().LockCount();
+                return Status::OK();
+              });
+
+  // Expected lock counts: after the withdraw fails, inside the relay
+  // after the insert fails, and after the relay completes.
+  struct Counts {
+    size_t after_withdraw, after_insert, after_relay;
+  };
+  Counts want{};
+  switch (kind) {
+    case SchedulerKind::kOpenNested:
+      // relay + Bucket.search's own lock; then only the relay's.
+      want = {0, 2, 1};
+      break;
+    case SchedulerKind::kClosedNested:
+      // relay + Bucket.search + its Page.read, kept by the relay.
+      want = {0, 3, 3};
+      break;
+    case SchedulerKind::kFlat2PL:
+      // Page locks only: withdraw's, search's read, insert's read/write.
+      want = {1, 4, 4};
+      break;
+    default:
+      // Object-exclusive: every call's lock, failed ones included.
+      want = {1, 7, 7};
+      break;
+  }
+  Status st = db.RunTransaction("T", [&](MethodContext& txn) {
+    Status withdraw =
+        txn.Call(acct, Invocation("withdraw", {Value(int64_t{100})}));
+    EXPECT_TRUE(withdraw.IsConflict()) << withdraw;
+    EXPECT_EQ(db.locks().LockCount(), want.after_withdraw);
+    OODB_RETURN_IF_ERROR(txn.Call(relay, Invocation("run")));
+    EXPECT_EQ(after_depth2_failure, want.after_insert);
+    EXPECT_EQ(db.locks().LockCount(), want.after_relay);
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(db.locks().LockCount(), 0u);
+  EXPECT_EQ(db.StateOf<AccountState>(acct)->balance, 10);
 }
 
 std::vector<MatrixParam> MatrixParams() {

@@ -70,10 +70,12 @@ TEST(ContentionReportTest, HottestObjectsRanked) {
   const ActionId t1(0);
   const ActionId t2(1);
   uint64_t next_action = 2;
+  // Collects the granted locks; the test never releases them.
+  LockManager::HeldLocks held(t1);
   auto acquire = [&](ObjectId obj, ActionId top) {
     const ActionId chain[] = {ActionId(next_action++), top};
     return lm.Acquire(obj, obj == hot ? "Hot" : "Cold", testing::LeafType(),
-                      ins, SphereChain{chain, 2}, top);
+                      ins, SphereChain{chain, 2}, top, &held);
   };
   ASSERT_TRUE(acquire(hot, t1).ok());
   // Three timed-out waits on the hot object, one on the cold one.
